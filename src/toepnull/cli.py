@@ -17,7 +17,8 @@ Subcommands:
                     weight model.
 
 Exit codes: 0 success, 2 a verification check failed, 3 the exhaustive
-budget was exceeded, 4 invalid input, 5 unsupported option combination.
+budget was exceeded, 4 invalid input (including an ``--out`` path that
+cannot be written), 5 unsupported option combination.
 
 JSON output always has the shape ``{tool_version, command, params,
 results, checks}``; matrix counts are decimal strings so arbitrarily
@@ -50,6 +51,7 @@ from .counting import (
     theta_eta,
 )
 from .enumeration import (
+    MAX_JOBS,
     BudgetExceededError,
     RuleReport,
     StructureReport,
@@ -125,7 +127,8 @@ def build_parser() -> _Parser:
     p.add_argument("--check-brute-force", action="store_true",
                    dest="check_brute_force",
                    help="re-derive the table by enumeration and compare")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help=f"worker processes, at most {MAX_JOBS}")
     p.add_argument("--budget", type=int, help="enumeration cap override")
 
     p = sub.add_parser("spectrum", parents=[shared],
@@ -182,31 +185,23 @@ def _cex_line(cex) -> str:
 
 
 def _rule_checks_payload(report: RuleReport) -> List[Dict]:
-    out = []
-    for name in sorted(report.checks):
-        chk = report.checks[name]
-        out.append({
-            "name": f"rule:{name}",
-            "passed": chk.failures == 0,
-            "checked": chk.checked,
-            "expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())},
-            "counterexample": _cex_payload(chk.counterexample),
-        })
-    return out
+    return [{
+        "name": f"rule:{name}",
+        "passed": chk.failures == 0,
+        "checked": chk.checked,
+        "expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())},
+        "counterexample": _cex_payload(chk.counterexample),
+    } for name, chk in sorted(report.checks.items())]
 
 
 def _structure_checks_payload(report: StructureReport) -> List[Dict]:
-    out = []
-    for name in sorted(report.checks):
-        chk = report.checks[name]
-        out.append({
-            "name": f"structure:{name}",
-            "passed": chk.failures == 0,
-            "checked": chk.checked,
-            "cross_checked": chk.cross_checked,
-            "counterexample": _cex_payload(chk.counterexample),
-        })
-    return out
+    return [{
+        "name": f"structure:{name}",
+        "passed": chk.failures == 0,
+        "checked": chk.checked,
+        "cross_checked": chk.cross_checked,
+        "counterexample": _cex_payload(chk.counterexample),
+    } for name, chk in sorted(report.checks.items())]
 
 
 def _check_lines(checks: List[Dict]) -> List[str]:
@@ -471,8 +466,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"toepnull: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"toepnull: error: cannot write {cfg.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_INVALID
     else:
         sys.stdout.write(rendered)
     return code

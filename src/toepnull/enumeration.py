@@ -1,51 +1,51 @@
 """Exhaustive enumeration: the ground truth the counting model answers to.
 
-Everything in this module measures matrices directly.  Each spec gets
-its own elimination; no transition weight, closed form, or structural
-shortcut from the other modules is assumed, which is what makes these
-scans usable as oracles for all of them.
+Everything in this module measures matrices directly.  Every rank comes
+from an elimination of the spec's own rows; no transition weight, closed
+form, or structural shortcut from the other modules is assumed, which is
+what makes these scans usable as oracles for all of them.
 
-Scans walk the extension tree depth first: the children of an order-m
-spec are its q^2 one-step extensions, ordered by (a_new, b_new), so the
-walk visits specs of a fixed order in lexicographic order of their
-digit tuples (a_0, a_1, b_1, ..., a_n, b_n).  Child rows are assembled
-incrementally from parent rows (a Toeplitz matrix contains its
-predecessor), but ranks are always recomputed from scratch.
+Every scan is one loop over one walker, :func:`walk`.  It visits the
+extension tree depth first: the children of an order-m spec are its q^2
+one-step extensions, ordered by (a_new, b_new), so specs of a fixed
+order come in lexicographic order of their digit tuples
+(a_0, a_1, b_1, ..., a_n, b_n).  For each spec it yields the order, the
+lex index, the rows, the nullity string and the nullities of the
+children.  Rows, ranks and kernels come from the engine that
+``toeplitz.engine`` picks for the modulus (packed GF(2) or dense
+GF(q)), so nothing here depends on q.  Child rows are read off the
+parent's rows (a Toeplitz matrix contains its predecessor), but each
+child's rank is computed from its own rows, once, at the parent.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
 with the TOEPNULL_BUDGET environment variable or a ``budget`` argument)
-refuses up front rather than silently truncating.  ``--jobs`` style
-parallelism partitions the tree at a shallow split depth; every merge
-is associative and counterexamples are ordered by (order, lex index),
-so reports are identical for any worker count.
+refuses up front rather than silently truncating.  ``jobs`` (at most
+MAX_JOBS) cuts a shallow level of the tree into index ranges; each
+worker walks from the root into its own ranges only, and the first
+range also owns the levels above.  Every tally merges associatively and
+counterexamples are ordered by (order, lex index), so reports are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import kernel_structure
 from .counting import CountTable, PairState, RuleClass, transition_weights
 from .field import PrimeField
-from .toeplitz import (
-    ToeplitzSpec,
-    canonical_vectors,
-    gf2_nullspace,
-    gf2_pack_rows,
-    gf2_rank,
-    gf2_rref,
-    gfq_nullspace,
-    gfq_rank,
-    gfq_rows,
-)
+from .toeplitz import ToeplitzSpec, engine
+from .toeplitz import gf2_rank  # noqa: F401  the perfbench tracer test looks it up here
 
 DEFAULT_BUDGET = 1 << 28
 BUDGET_ENV_VAR = "TOEPNULL_BUDGET"
+MAX_JOBS = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,10 +87,13 @@ def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
         raise BudgetExceededError(required, cap)
 
 
-def _check_params(n: int, q: int) -> PrimeField:
+def _check_params(n: int, q: int, jobs: int = 1) -> PrimeField:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    return PrimeField(q)
+    fld = PrimeField(q)
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +101,20 @@ def _check_params(n: int, q: int) -> PrimeField:
 
 
 def _digits_to_ab(digits: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    a = [digits[0]]
-    b = []
-    for i in range(1, len(digits), 2):
-        a.append(digits[i])
-        b.append(digits[i + 1])
-    return tuple(a), tuple(b)
+    return (digits[0],) + tuple(digits[1::2]), tuple(digits[2::2])
 
 
-def _ab_to_index(a: Sequence[int], b: Sequence[int], q: int) -> int:
-    idx = a[0]
-    for i in range(1, len(a)):
-        idx = (idx * q + a[i]) * q + b[i - 1]
-    return idx
+def _index_to_ab(index: int, m: int, q: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The digit tuples of the order-m spec at this lex index."""
+    return _digits_to_ab([index // q ** k % q for k in range(2 * m, -1, -1)])
 
 
 def spec_index(spec: ToeplitzSpec) -> int:
     """Position of a spec in the lexicographic enumeration of its order."""
-    return _ab_to_index(spec.a, spec.b, spec.field.q)
+    q, idx = spec.field.q, spec.a[0]
+    for a_new, b_new in zip(spec.a[1:], spec.b):
+        idx = (idx * q + a_new) * q + b_new
+    return idx
 
 
 def enumerate_all(n: int, q: int, *, budget: Optional[int] = None) -> Iterator[ToeplitzSpec]:
@@ -128,85 +127,49 @@ def enumerate_all(n: int, q: int, *, budget: Optional[int] = None) -> Iterator[T
 
 
 # ---------------------------------------------------------------------------
-# single-spec census
+# the walker and the parallel driver
 
 
-@dataclass(frozen=True)
-class ExtensionCensus:
-    """Nullity counts over the q^2 one-step extensions of a base spec."""
+def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0) -> Iterator[tuple]:
+    """Every spec of order <= n_max, depth first, as the tuple
+    ``(order, lex index, rows, nullity string, child nullities)``.
 
-    base: ToeplitzSpec
-    counts: Dict[int, int]
+    Rows are those of ``toeplitz.engine(q)`` and are shared with
+    siblings: read them, never change them.  Child nullities are in
+    (a_new, b_new) order and empty at order n_max.  In preorder the last
+    spec yielded one order up is the parent.  With ``0 <= split <
+    n_max`` the walk enters only the order-``split`` specs whose index
+    lies in [lo, hi) and, unless ``lo`` is 0, only the ancestors they
+    need.
+    """
+    eng = engine(q)
+    children, q2 = eng.children, q * q
 
+    def inside(node: tuple) -> bool:
+        m, index = node[0], node[1]
+        if m > split or (m < split and not lo):
+            return True
+        width = q2 ** (split - m)
+        return index * width < hi and (index + 1) * width > lo
 
-def extension_census(spec: ToeplitzSpec) -> ExtensionCensus:
-    """Measure all q^2 one-step extensions of ``spec`` directly."""
-    q = spec.field.q
-    counts: Dict[int, int] = {}
-    for a_new in range(q):
-        for b_new in range(q):
-            a = spec.a + (a_new,)
-            b = spec.b + (b_new,)
-            if q == 2:
-                rank = gf2_rank(gf2_pack_rows(a, b))
-            else:
-                rank = gfq_rank(gfq_rows(a, b), q)
-            nu = len(a) - rank
-            counts[nu] = counts.get(nu, 0) + 1
-    return ExtensionCensus(base=spec, counts=counts)
-
-
-# ---------------------------------------------------------------------------
-# brute-force count table
-
-
-def _count_walk_gf2(rows: List[int], bdig: Tuple[int, ...], m: int, n_max: int,
-                    counts: List[List[int]]) -> None:
-    counts[m][m + 1 - gf2_rank(rows)] += 1
-    if m == n_max:
-        return
-    hi = 1 << (m + 1)
-    tail = [(rows[i] << 1) | bdig[i] for i in range(m)]
-    last = rows[m] << 1
-    row0 = rows[0]
-    for a_new in (0, 1):
-        head = row0 | hi if a_new else row0
-        for b_new in (0, 1):
-            _count_walk_gf2([head] + tail + [last | b_new], bdig + (b_new,),
-                            m + 1, n_max, counts)
-
-
-def _count_walk_gfq(rows: List[List[int]], bdig: Tuple[int, ...], m: int, n_max: int,
-                    counts: List[List[int]], q: int) -> None:
-    counts[m][m + 1 - gfq_rank([row[:] for row in rows], q)] += 1
-    if m == n_max:
-        return
-    tail = [[bdig[i]] + rows[i] for i in range(m)]
-    last = rows[m]
-    row0 = rows[0]
-    for a_new in range(q):
-        head = row0 + [a_new]
-        for b_new in range(q):
-            _count_walk_gfq([head] + tail + [[b_new] + last], bdig + (b_new,),
-                            m + 1, n_max, counts, q)
-
-
-def _count_from_root(digits: Sequence[int], q: int, n_max: int,
-                     counts: List[List[int]]) -> None:
-    a, b = _digits_to_ab(digits)
-    m = len(a) - 1
-    if q == 2:
-        _count_walk_gf2(gf2_pack_rows(a, b), b, m, n_max, counts)
-    else:
-        _count_walk_gfq(gfq_rows(a, b), b, m, n_max, counts, q)
-
-
-def _count_job(args: Tuple[int, int, List[Tuple[int, ...]]]) -> List[List[int]]:
-    q, n_max, roots = args
-    counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    for digits in roots:
-        _count_from_root(digits, q, n_max, counts)
-    return counts
+    roots = [eng.rows((a0,), ()) for a0 in range(q)]
+    stack = [(0, a0, rows, (1 - eng.rank(rows),)) for a0, rows in enumerate(roots)]
+    stack = list(filter(inside, reversed(stack)))
+    while stack:
+        m, index, rows, string = stack.pop()
+        if m == n_max:
+            yield m, index, rows, string, ()
+            continue
+        kids, nus = children(rows)
+        yield m, index, rows, string, nus
+        m += 1
+        base = index * q2
+        if m == n_max:  # leaves go out at once instead of through the stack
+            for k in range(q2):
+                yield m, base + k, kids[k], string + (nus[k],), ()
+            continue
+        batch = [(m, base + k, kids[k], string + (nus[k],)) for k in range(q2 - 1, -1, -1)]
+        stack += batch if m > split else filter(inside, batch)
 
 
 def _split_depth(q: int, n_max: int, jobs: int) -> Optional[int]:
@@ -224,62 +187,76 @@ def _split_depth(q: int, n_max: int, jobs: int) -> Optional[int]:
     return best
 
 
-def _chunks(items: List, pieces: int) -> List[List]:
-    pieces = max(1, min(pieces, len(items)))
-    step = (len(items) + pieces - 1) // pieces
-    return [items[i:i + step] for i in range(0, len(items), step)]
+def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int, *extra):
+    """Run ``scan((q, n_max, split, lo, hi, *extra))`` over the whole tree.
+
+    Serially that is one call with no split.  Otherwise the split level
+    is cut into about 4 * jobs index ranges, a pool of at most ``jobs``
+    workers scans them, and ``merge(total, part)`` folds the parts in
+    range order.  A scan owns the specs of its range and their
+    descendants; the range starting at 0 also owns every shallower spec.
+    """
+    split = _split_depth(q, n_max, jobs)
+    if split is None:
+        return scan((q, n_max, -1, 0, 0) + extra)
+    width = q ** (2 * split + 1)
+    step = -(-width // min(4 * jobs, width))
+    args = [(q, n_max, split, lo, min(lo + step, width)) + extra
+            for lo in range(0, width, step)]
+    with Pool(min(jobs, len(args))) as pool:
+        parts = pool.imap(scan, args)
+        total = next(parts)
+        for part in parts:
+            merge(total, part)
+    return total
 
 
-def _check_jobs(jobs: int) -> None:
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+# ---------------------------------------------------------------------------
+# single-spec census
+
+
+@dataclass(frozen=True)
+class ExtensionCensus:
+    """Nullity counts over the q^2 one-step extensions of a base spec."""
+
+    base: ToeplitzSpec
+    counts: Dict[int, int]
+
+
+def extension_census(spec: ToeplitzSpec) -> ExtensionCensus:
+    """Measure all q^2 one-step extensions of ``spec`` directly."""
+    eng = engine(spec.field.q)
+    counts = dict(Counter(eng.children(eng.rows(spec.a, spec.b))[1]))
+    return ExtensionCensus(base=spec, counts=counts)
+
+
+# ---------------------------------------------------------------------------
+# brute-force counts
+
+
+def _count_scan(args: tuple) -> List[List[int]]:
+    q, n_max, split, lo, hi = args
+    own = split if lo else 0
+    counts = [[0] * (m + 2) for m in range(n_max + 1)]
+    for m, _, _, string, _ in walk(q, n_max, split, lo, hi):
+        if m >= own:
+            counts[m][string[-1]] += 1
+    return counts
+
+
+def _add_counts(into: List[List[int]], part: List[List[int]]) -> None:
+    for row, extra in zip(into, part):
+        for nu, c in enumerate(extra):
+            row[nu] += c
 
 
 def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> CountTable:
     """Exact N(m, nu) for all m <= n_max by enumerating every spec."""
-    _check_params(n_max, q)
-    _check_jobs(jobs)
+    _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
-    counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    split = _split_depth(q, n_max, jobs)
-    if split is None:
-        for a0 in range(q):
-            _count_from_root((a0,), q, n_max, counts)
-    else:
-        for a0 in range(q):
-            _count_from_root((a0,), q, split - 1, counts)
-        roots = list(itertools.product(range(q), repeat=2 * split + 1))
-        jobs_args = [(q, n_max, chunk) for chunk in _chunks(roots, jobs * 4)]
-        with Pool(jobs) as pool:
-            for part in pool.imap(_count_job, jobs_args):
-                for m in range(split, n_max + 1):
-                    row = counts[m]
-                    for nu, c in enumerate(part[m]):
-                        row[nu] += c
+    counts = _run(_count_scan, _add_counts, q, n_max, jobs)
     return CountTable(q=q, counts=tuple(tuple(row) for row in counts))
-
-
-# ---------------------------------------------------------------------------
-# brute-force terminal pairs
-
-
-def _pair_walk_gf2(rows: List[int], bdig: Tuple[int, ...], m: int, prev_nu: int,
-                   n: int, pairs: Dict[Tuple[int, int], int]) -> None:
-    nu = m + 1 - gf2_rank(rows)
-    if m == n:
-        key = (prev_nu, nu)
-        pairs[key] = pairs.get(key, 0) + 1
-        return
-    hi = 1 << (m + 1)
-    tail = [(rows[i] << 1) | bdig[i] for i in range(m)]
-    last = rows[m] << 1
-    row0 = rows[0]
-    for a_new in (0, 1):
-        head = row0 | hi if a_new else row0
-        for b_new in (0, 1):
-            _pair_walk_gf2([head] + tail + [last | b_new], bdig + (b_new,),
-                           m + 1, nu, n, pairs)
 
 
 def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int, int]:
@@ -287,14 +264,15 @@ def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int,
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     _require_budget(n, 2, budget)
-    pairs: Dict[Tuple[int, int], int] = {}
-    for a0 in (0, 1):
-        _pair_walk_gf2([a0], (), 0, 0, n, pairs)
-    return pairs.get((0, 0), 0), pairs.get((1, 0), 0)
+    ends = [0, 0]
+    for m, _, _, string, _ in walk(2, n):
+        if m == n and string[-1] == 0:
+            ends[string[-2]] += 1
+    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
-# transition-rule verification
+# tallies and transition-rule verification
 
 
 @dataclass(frozen=True)
@@ -310,6 +288,60 @@ class Counterexample:
     @property
     def sort_key(self) -> Tuple[int, int]:
         return (self.order, self.index)
+
+
+class _Tally(dict):
+    """Scan-side tallies by check name, each
+    ``[checked, cross_checked, failures, first counterexample]``.
+
+    Plain picklable data, so workers return it as it is; ``merge`` is
+    associative and keeps the counterexample first in (order, lex index).
+    """
+
+    def __init__(self, q: int) -> None:
+        super().__init__()
+        self.q = q
+        self.expected: Dict[Tuple[int, int], Tuple[str, Dict[int, int]]] = {}
+
+    def record(self, name: str, ok: bool, m: int, index: int, detail: str,
+               column: int = 0) -> None:
+        """Count one check of the order-m spec at ``index`` (``column`` 1
+        counts a cross-check); ``detail`` says what failed when not ``ok``."""
+        tally = self.get(name)
+        if tally is None:
+            tally = self[name] = [0, 0, 0, None]
+        tally[column] += 1
+        if not ok:
+            tally[2] += 1
+            if tally[3] is None or (m, index) < tally[3].sort_key:
+                a, b = _index_to_ab(index, m, self.q)
+                tally[3] = Counterexample(order=m, a=a, b=b, index=index, detail=detail)
+
+    def census(self, prev_nu: int, nu: int, child_nus: Sequence[int], m: int,
+               index: int) -> None:
+        """Check the census of one spec's children against the weight model."""
+        cached = self.expected.get((prev_nu, nu))
+        if cached is None:
+            state = PairState(prev_nu, nu)
+            cached = (state.rule_class.value, dict(transition_weights(state, self.q)))
+            self.expected[prev_nu, nu] = cached
+        name, expected = cached
+        census: Dict[int, int] = {}
+        for child in child_nus:
+            census[child] = census.get(child, 0) + 1
+        ok = census == expected
+        self.record(name, ok, m, index, "" if ok else
+                    f"census {dict(sorted(census.items()))} != expected "
+                    f"{dict(sorted(expected.items()))}")
+
+    def merge(self, part: "_Tally") -> None:
+        for name, (checked, crossed, failures, cex) in part.items():
+            tally = self.setdefault(name, [0, 0, 0, None])
+            tally[0] += checked
+            tally[1] += crossed
+            tally[2] += failures
+            if cex is not None and (tally[3] is None or cex.sort_key < tally[3].sort_key):
+                tally[3] = cex
 
 
 @dataclass
@@ -353,128 +385,34 @@ def _expected_offsets(cls: RuleClass, q: int) -> Dict[int, int]:
     return {value - state.cur: w for value, w in transition_weights(state, q)}
 
 
-class _RuleStats:
-    """Mutable scan-side tallies, cheap to merge across workers."""
-
-    def __init__(self, q: int) -> None:
-        self.q = q
-        self.tallies: Dict[str, List] = {}  # name -> [checked, failures, cex or None]
-        self.expected_cache: Dict[Tuple[int, int], Tuple[str, Dict[int, int]]] = {}
-
-    def record(self, prev_nu: int, nu: int, census: Dict[int, int],
-               adig: Tuple[int, ...], bdig: Tuple[int, ...], m: int) -> None:
-        key = (prev_nu, nu)
-        cached = self.expected_cache.get(key)
-        if cached is None:
-            state = PairState(prev_nu, nu)
-            cached = (state.rule_class.value, dict(transition_weights(state, self.q)))
-            self.expected_cache[key] = cached
-        name, expected = cached
-        tally = self.tallies.get(name)
-        if tally is None:
-            tally = self.tallies[name] = [0, 0, None]
-        tally[0] += 1
-        if census != expected:
-            tally[1] += 1
-            cex = Counterexample(
-                order=m, a=adig, b=bdig, index=_ab_to_index(adig, bdig, self.q),
-                detail=f"census {dict(sorted(census.items()))} != expected "
-                       f"{dict(sorted(expected.items()))}",
-            )
-            if tally[2] is None or cex.sort_key < tally[2].sort_key:
-                tally[2] = cex
-
-    def as_portable(self) -> Dict[str, Tuple[int, int, Optional[tuple]]]:
-        return {
-            name: (t[0], t[1], None if t[2] is None else
-                   (t[2].order, t[2].a, t[2].b, t[2].index, t[2].detail))
-            for name, t in self.tallies.items()
-        }
+def _rule_report(tally: _Tally, n_max: int, mode: str, start: Optional[RuleCheck] = None,
+                 trials: Optional[int] = None, seed: Optional[int] = None) -> RuleReport:
+    """One RuleCheck per pair class from the tallies, plus the ``start`` check."""
+    checks: Dict[str, RuleCheck] = {}
+    for cls in RuleClass:
+        checked, _, failures, cex = tally.get(cls.value, (0, 0, 0, None))
+        checks[cls.value] = RuleCheck(
+            rule=cls.value, expected_offsets=_expected_offsets(cls, tally.q),
+            checked=checked, failures=failures, counterexample=cex)
+    if start is not None:
+        checks[START_RULE] = start
+    failures = [c.counterexample for c in checks.values() if c.counterexample]
+    return RuleReport(
+        q=tally.q, n_max=n_max, mode=mode, checks=checks,
+        passed=all(c.failures == 0 for c in checks.values()),
+        counterexample=min(failures, key=lambda c: c.sort_key, default=None),
+        trials=trials, seed=seed,
+    )
 
 
-def _merge_portable(into: Dict[str, List], part: Dict[str, Tuple]) -> None:
-    for name, (checked, failures, cex) in part.items():
-        tally = into.get(name)
-        if tally is None:
-            tally = into[name] = [0, 0, None]
-        tally[0] += checked
-        tally[1] += failures
-        if cex is not None:
-            restored = Counterexample(order=cex[0], a=tuple(cex[1]), b=tuple(cex[2]),
-                                      index=cex[3], detail=cex[4])
-            if tally[2] is None or restored.sort_key < tally[2].sort_key:
-                tally[2] = restored
-
-
-def _rules_walk_gf2(rows: List[int], adig: Tuple[int, ...], bdig: Tuple[int, ...],
-                    m: int, prev_nu: int, n_max: int, stats: _RuleStats) -> int:
-    nu = m + 1 - gf2_rank(rows)
-    if m == n_max:
-        return nu
-    census: Dict[int, int] = {}
-    hi = 1 << (m + 1)
-    tail = [(rows[i] << 1) | bdig[i] for i in range(m)]
-    last = rows[m] << 1
-    row0 = rows[0]
-    for a_new in (0, 1):
-        head = row0 | hi if a_new else row0
-        for b_new in (0, 1):
-            child = _rules_walk_gf2([head] + tail + [last | b_new],
-                                    adig + (a_new,), bdig + (b_new,),
-                                    m + 1, nu, n_max, stats)
-            census[child] = census.get(child, 0) + 1
-    stats.record(prev_nu, nu, census, adig, bdig, m)
-    return nu
-
-
-def _rules_walk_gfq(rows: List[List[int]], adig: Tuple[int, ...], bdig: Tuple[int, ...],
-                    m: int, prev_nu: int, n_max: int, stats: _RuleStats, q: int) -> int:
-    nu = m + 1 - gfq_rank([row[:] for row in rows], q)
-    if m == n_max:
-        return nu
-    census: Dict[int, int] = {}
-    tail = [[bdig[i]] + rows[i] for i in range(m)]
-    last = rows[m]
-    row0 = rows[0]
-    for a_new in range(q):
-        head = row0 + [a_new]
-        for b_new in range(q):
-            child = _rules_walk_gfq([head] + tail + [[b_new] + last],
-                                    adig + (a_new,), bdig + (b_new,),
-                                    m + 1, nu, n_max, stats, q)
-            census[child] = census.get(child, 0) + 1
-    stats.record(prev_nu, nu, census, adig, bdig, m)
-    return nu
-
-
-def _prefix_nullity(a: Sequence[int], b: Sequence[int], upto: int, q: int) -> int:
-    """Nullity of the order-``upto`` prefix; -1 means the virtual start, 0."""
-    if upto < 0:
-        return 0
-    aa, bb = a[:upto + 1], b[:upto]
-    if q == 2:
-        rank = gf2_rank(gf2_pack_rows(aa, bb))
-    else:
-        rank = gfq_rank(gfq_rows(aa, bb), q)
-    return upto + 1 - rank
-
-
-def _rules_from_root(digits: Sequence[int], q: int, n_max: int, stats: _RuleStats) -> None:
-    a, b = _digits_to_ab(digits)
-    m = len(a) - 1
-    prev_nu = _prefix_nullity(a, b, m - 1, q)
-    if q == 2:
-        _rules_walk_gf2(gf2_pack_rows(a, b), a, b, m, prev_nu, n_max, stats)
-    else:
-        _rules_walk_gfq(gfq_rows(a, b), a, b, m, prev_nu, n_max, stats, q)
-
-
-def _rules_job(args: Tuple[int, int, List[Tuple[int, ...]]]) -> Dict[str, Tuple]:
-    q, n_max, roots = args
-    stats = _RuleStats(q)
-    for digits in roots:
-        _rules_from_root(digits, q, n_max, stats)
-    return stats.as_portable()
+def _rules_scan(args: tuple) -> _Tally:
+    q, n_max, split, lo, hi = args
+    own = split if lo else 0
+    tally = _Tally(q)
+    for m, index, _, string, child_nus in walk(q, n_max, split, lo, hi):
+        if child_nus and m >= own:
+            tally.census(string[-2] if m else 0, string[-1], child_nus, m, index)
+    return tally
 
 
 def verify_transition_rules(n_max: int, q: int, *, budget: Optional[int] = None,
@@ -484,61 +422,21 @@ def verify_transition_rules(n_max: int, q: int, *, budget: Optional[int] = None,
     Also checks the order-0 start: over the q choices of the diagonal
     digit, q - 1 specs open at nullity 0 and one at nullity 1.
     """
-    _check_params(n_max, q)
-    _check_jobs(jobs)
+    _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
-
-    merged: Dict[str, List] = {}
-    split = _split_depth(q, n_max, jobs)
-    if split is None:
-        stats = _RuleStats(q)
-        for a0 in range(q):
-            _rules_from_root((a0,), q, n_max, stats)
-        _merge_portable(merged, stats.as_portable())
-    else:
-        stats = _RuleStats(q)
-        for a0 in range(q):
-            _rules_from_root((a0,), q, split, stats)
-        _merge_portable(merged, stats.as_portable())
-        roots = list(itertools.product(range(q), repeat=2 * split + 1))
-        jobs_args = [(q, n_max, chunk) for chunk in _chunks(roots, jobs * 4)]
-        with Pool(jobs) as pool:
-            for part in pool.imap(_rules_job, jobs_args):
-                _merge_portable(merged, part)
-
-    checks: Dict[str, RuleCheck] = {}
-    for cls in RuleClass:
-        tally = merged.get(cls.value, [0, 0, None])
-        checks[cls.value] = RuleCheck(
-            rule=cls.value,
-            expected_offsets=_expected_offsets(cls, q),
-            checked=tally[0],
-            failures=tally[1],
-            counterexample=tally[2],
-        )
+    tally = _run(_rules_scan, _Tally.merge, q, n_max, jobs)
 
     # the order-0 start: census of the first nullity over the q diagonal digits
-    start_census: Dict[int, int] = {}
-    for a0 in range(q):
-        nu = _prefix_nullity((a0,), (), 0, q)
-        start_census[nu] = start_census.get(nu, 0) + 1
+    eng = engine(q)
+    start_census = dict(Counter(1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)))
     start_expected = {0: q - 1, 1: 1}
     start = RuleCheck(rule=START_RULE, expected_offsets=dict(start_expected), checked=1)
     if start_census != start_expected:
         start.failures = 1
         start.counterexample = Counterexample(
             order=0, a=(), b=(), index=0,
-            detail=f"start census {start_census} != expected {start_expected}",
-        )
-    checks[START_RULE] = start
-
-    failures = [c.counterexample for c in checks.values() if c.counterexample]
-    worst = min(failures, key=lambda c: c.sort_key) if failures else None
-    return RuleReport(
-        q=q, n_max=n_max, mode="exhaustive", checks=checks,
-        passed=all(c.failures == 0 for c in checks.values()),
-        counterexample=worst,
-    )
+            detail=f"start census {start_census} != expected {start_expected}")
+    return _rule_report(tally, n_max, "exhaustive", start)
 
 
 # ---------------------------------------------------------------------------
@@ -581,73 +479,20 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> RuleReport:
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
     rng = XorShift64(seed)
-    stats = _RuleStats(q)
+    eng = engine(q)
+    tally = _Tally(q)
     for _ in range(trials):
-        digits = tuple(rng.below(q) for _ in range(2 * n + 1))
+        digits = [rng.below(q) for _ in range(2 * n + 1)]
         a, b = _digits_to_ab(digits)
-        prev_nu = _prefix_nullity(a, b, n - 1, q)
-        nu = _prefix_nullity(a, b, n, q)
-        census: Dict[int, int] = {}
-        for a_new in range(q):
-            for b_new in range(q):
-                child_nu = _prefix_nullity(a + (a_new,), b + (b_new,), n + 1, q)
-                census[child_nu] = census.get(child_nu, 0) + 1
-        stats.record(prev_nu, nu, census, a, b, n)
-
-    merged: Dict[str, List] = {}
-    _merge_portable(merged, stats.as_portable())
-    checks: Dict[str, RuleCheck] = {}
-    for cls in RuleClass:
-        tally = merged.get(cls.value, [0, 0, None])
-        checks[cls.value] = RuleCheck(
-            rule=cls.value,
-            expected_offsets=_expected_offsets(cls, q),
-            checked=tally[0],
-            failures=tally[1],
-            counterexample=tally[2],
-        )
-    failures = [c.counterexample for c in checks.values() if c.counterexample]
-    worst = min(failures, key=lambda c: c.sort_key) if failures else None
-    return RuleReport(
-        q=q, n_max=n, mode="sampled", checks=checks,
-        passed=all(c.failures == 0 for c in checks.values()),
-        counterexample=worst, trials=trials, seed=seed,
-    )
+        rows = eng.rows(a, b)
+        prev_nu = n - eng.rank(eng.rows(a[:-1], b[:-1])) if n else 0
+        index = sum(d * q ** k for k, d in enumerate(reversed(digits)))  # digits in base q
+        tally.census(prev_nu, n + 1 - eng.rank(rows), eng.children(rows)[1], n, index)
+    return _rule_report(tally, n, "sampled", trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # realized nullity strings
-
-
-def _strings_walk_gf2(rows, bdig, m, n_max, prefix, out: Set[Tuple[int, ...]]) -> None:
-    prefix = prefix + (m + 1 - gf2_rank(rows),)
-    out.add(prefix)
-    if m == n_max:
-        return
-    hi = 1 << (m + 1)
-    tail = [(rows[i] << 1) | bdig[i] for i in range(m)]
-    last = rows[m] << 1
-    row0 = rows[0]
-    for a_new in (0, 1):
-        head = row0 | hi if a_new else row0
-        for b_new in (0, 1):
-            _strings_walk_gf2([head] + tail + [last | b_new], bdig + (b_new,),
-                              m + 1, n_max, prefix, out)
-
-
-def _strings_walk_gfq(rows, bdig, m, n_max, prefix, out: Set[Tuple[int, ...]], q: int) -> None:
-    prefix = prefix + (m + 1 - gfq_rank([row[:] for row in rows], q),)
-    out.add(prefix)
-    if m == n_max:
-        return
-    tail = [[bdig[i]] + rows[i] for i in range(m)]
-    last = rows[m]
-    row0 = rows[0]
-    for a_new in range(q):
-        head = row0 + [a_new]
-        for b_new in range(q):
-            _strings_walk_gfq([head] + tail + [[b_new] + last], bdig + (b_new,),
-                              m + 1, n_max, prefix, out, q)
 
 
 def realized_nullity_strings(n_max: int, q: int, *,
@@ -655,14 +500,7 @@ def realized_nullity_strings(n_max: int, q: int, *,
     """Every nullity string realized by some spec of order <= n_max."""
     _check_params(n_max, q)
     _require_budget(n_max, q, budget)
-    out: Set[Tuple[int, ...]] = set()
-    if q == 2:
-        for a0 in (0, 1):
-            _strings_walk_gf2([a0], (), 0, n_max, (), out)
-    else:
-        for a0 in range(q):
-            _strings_walk_gfq([[a0]], (), 0, n_max, (), out, q)
-    return out
+    return {string for _, _, _, string, _ in walk(q, n_max)}
 
 
 # ---------------------------------------------------------------------------
@@ -696,229 +534,72 @@ PLATEAU_RUN = "plateau_shift"
 DESCENT = "descent_interior_zeros"
 
 
-class _StructureStats:
-    def __init__(self, q: int, stride: int) -> None:
-        self.q = q
-        self.stride = stride
-        self.field = PrimeField(q)
-        self.tallies: Dict[str, List] = {
-            name: [0, 0, 0, None] for name in (ENDS, ASCENT, PLATEAU_RUN, DESCENT)
-        }
-
-    def record(self, name: str, ok: bool, adig: Tuple[int, ...], bdig: Tuple[int, ...],
-               m: int, detail: str) -> None:
-        tally = self.tallies[name]
-        tally[0] += 1
-        if not ok:
-            tally[2] += 1
-            cex = Counterexample(order=m, a=adig, b=bdig,
-                                 index=_ab_to_index(adig, bdig, self.q), detail=detail)
-            if tally[3] is None or cex.sort_key < tally[3].sort_key:
-                tally[3] = cex
-
-    def want_cross_check(self, adig: Tuple[int, ...], bdig: Tuple[int, ...]) -> bool:
-        return self.stride > 0 and _ab_to_index(adig, bdig, self.q) % self.stride == 0
-
-    def cross_check(self, name: str, ok_raw: bool, adig, bdig, m: int,
-                    run_start: int) -> None:
-        """Re-run the public predicate on rebuilt specs; it must agree."""
-        spec = ToeplitzSpec(field=self.field, a=adig, b=bdig)
-        if name == ENDS:
-            ok_pub = kernel_structure.check_single_generator_ends(
-                kernel_structure.truncate(spec), spec)
-        elif name == ASCENT:
-            ok_pub = kernel_structure.check_ascent_span(
-                kernel_structure.truncate(spec), spec)
-        elif name == PLATEAU_RUN:
-            run = [ToeplitzSpec(field=self.field, a=adig[:k + 1], b=bdig[:k])
-                   for k in range(run_start, m + 1)]
-            ok_pub = kernel_structure.check_plateau_shift(run)
-        else:
-            ok_pub = kernel_structure.check_descent_interior_zeros(spec)
-        tally = self.tallies[name]
-        tally[1] += 1
-        if ok_pub != ok_raw:
-            tally[2] += 1
-            cex = Counterexample(order=m, a=adig, b=bdig,
-                                 index=_ab_to_index(adig, bdig, self.q),
-                                 detail=f"{name}: predicate ({ok_pub}) disagrees with "
-                                        f"scan ({ok_raw})")
-            if tally[3] is None or cex.sort_key < tally[3].sort_key:
-                tally[3] = cex
-
-    def as_portable(self) -> Dict[str, Tuple]:
-        return {
-            name: (t[0], t[1], t[2], None if t[3] is None else
-                   (t[3].order, t[3].a, t[3].b, t[3].index, t[3].detail))
-            for name, t in self.tallies.items()
-        }
-
-
-def _merge_structure(into: Dict[str, List], part: Dict[str, Tuple]) -> None:
-    for name, (checked, crossed, failures, cex) in part.items():
-        tally = into.setdefault(name, [0, 0, 0, None])
-        tally[0] += checked
-        tally[1] += crossed
-        tally[2] += failures
-        if cex is not None:
-            restored = Counterexample(order=cex[0], a=tuple(cex[1]), b=tuple(cex[2]),
-                                      index=cex[3], detail=cex[4])
-            if tally[3] is None or restored.sort_key < tally[3].sort_key:
-                tally[3] = restored
-
-
-def _gf2_kernel(rows: List[int], size: int) -> List[int]:
-    return gf2_nullspace(rows, size)
-
-
-def _gfq_kernel(rows: List[List[int]], q: int) -> Tuple[Tuple[int, ...], ...]:
-    return canonical_vectors(gfq_nullspace(rows, q), q)
-
-
-def _structure_step(stats: _StructureStats, q: int, size: int,
-                    prev_nu: int, nu: int, prev_kern, kern,
-                    run_state: Optional[Tuple[int, bool, bool]],
-                    adig: Tuple[int, ...], bdig: Tuple[int, ...], m: int,
-                    record: bool) -> Optional[Tuple[int, bool, bool]]:
-    """Apply every qualifying predicate to the step into (adig, bdig).
-
-    Returns the plateau-run state carried into the child: (run start
-    order, all omega so far, all sigma so far), or None outside runs.
-    ``record`` is False while rebuilding a worker's prefix, whose checks
-    belong to the serial part of the scan.
-    """
-    if nu == prev_nu and nu >= 1:
-        if q == 2:
-            is_w = kern == prev_kern
-            is_s = kern == [v << 1 for v in prev_kern]
-        else:
-            is_w = kern == tuple(v + (0,) for v in prev_kern)
-            is_s = kern == tuple((0,) + v for v in prev_kern)
-        if run_state is None:
-            run = (m - 1, is_w, is_s)
-        else:
-            run = (run_state[0], run_state[1] and is_w, run_state[2] and is_s)
-        if record:
-            ok = run[1] or run[2]
-            stats.record(PLATEAU_RUN, ok, adig, bdig, m,
-                         "plateau run mixes append-zero and prepend-zero shifts"
-                         if not ok else "")
-            if stats.want_cross_check(adig, bdig):
-                stats.cross_check(PLATEAU_RUN, ok, adig, bdig, m, run[0])
-        return run
-
-    if record:
-        if prev_nu == 0 and nu == 1:
-            gen = kern[0]
-            if q == 2:
-                ok = (gen & 1) != 0 and (gen >> (size - 1)) & 1 != 0
-            else:
-                ok = gen[0] != 0 and gen[-1] != 0
-            stats.record(ENDS, ok, adig, bdig, m,
-                         "" if ok else "fresh kernel generator vanishes at an end")
-            if stats.want_cross_check(adig, bdig):
-                stats.cross_check(ENDS, ok, adig, bdig, m, 0)
-        elif nu == prev_nu + 1 and prev_nu >= 1:
-            if q == 2:
-                expected, _ = gf2_rref(list(prev_kern) + [v << 1 for v in prev_kern])
-            else:
-                expected = canonical_vectors(
-                    [v + (0,) for v in prev_kern] + [(0,) + v for v in prev_kern], q)
-            ok = kern == expected
-            stats.record(ASCENT, ok, adig, bdig, m,
-                         "" if ok else "kernel is not the span of the shifted old kernel")
-            if stats.want_cross_check(adig, bdig):
-                stats.cross_check(ASCENT, ok, adig, bdig, m, 0)
-        elif prev_nu > nu >= 1:
-            if q == 2:
-                ok = all((v & 1) == 0 and (v >> (size - 1)) & 1 == 0 for v in kern)
-            else:
-                ok = all(v[0] == 0 and v[-1] == 0 for v in kern)
-            stats.record(DESCENT, ok, adig, bdig, m,
-                         "" if ok else "descent-interior kernel vector touches an end")
-            if stats.want_cross_check(adig, bdig):
-                stats.cross_check(DESCENT, ok, adig, bdig, m, 0)
-    return None
-
-
-def _structure_walk_gf2(rows, adig, bdig, m, prev_nu, prev_kern, run_state,
-                        n_max, stats: _StructureStats) -> None:
-    nu = m + 1 - gf2_rank(rows)
-    kern = _gf2_kernel(rows, m + 1) if nu else []
-    if m >= 1:
-        run_state = _structure_step(stats, 2, m + 1, prev_nu, nu, prev_kern, kern,
-                                    run_state, adig, bdig, m, record=True)
-    if m == n_max:
-        return
-    hi = 1 << (m + 1)
-    tail = [(rows[i] << 1) | bdig[i] for i in range(m)]
-    last = rows[m] << 1
-    row0 = rows[0]
-    for a_new in (0, 1):
-        head = row0 | hi if a_new else row0
-        for b_new in (0, 1):
-            _structure_walk_gf2([head] + tail + [last | b_new],
-                                adig + (a_new,), bdig + (b_new,),
-                                m + 1, nu, kern, run_state, n_max, stats)
-
-
-def _structure_walk_gfq(rows, adig, bdig, m, prev_nu, prev_kern, run_state,
-                        n_max, stats: _StructureStats, q: int) -> None:
-    nu = m + 1 - gfq_rank([row[:] for row in rows], q)
-    kern = _gfq_kernel(rows, q) if nu else ()
-    if m >= 1:
-        run_state = _structure_step(stats, q, m + 1, prev_nu, nu, prev_kern, kern,
-                                    run_state, adig, bdig, m, record=True)
-    if m == n_max:
-        return
-    tail = [[bdig[i]] + rows[i] for i in range(m)]
-    last = rows[m]
-    row0 = rows[0]
-    for a_new in range(q):
-        head = row0 + [a_new]
-        for b_new in range(q):
-            _structure_walk_gfq([head] + tail + [[b_new] + last],
-                                adig + (a_new,), bdig + (b_new,),
-                                m + 1, nu, kern, run_state, n_max, stats, q)
-
-
-def _structure_from_root(digits: Sequence[int], q: int, n_max: int,
-                         stats: _StructureStats, replay_prefix: bool) -> None:
-    """Walk a subtree; when ``replay_prefix``, rebuild run state silently
-    for orders below the root and record checks from the root on."""
-    a, b = _digits_to_ab(digits)
-    root_m = len(a) - 1
-    prev_nu = 0
-    prev_kern = [] if q == 2 else ()
-    run_state = None
-    for k in range(root_m):
-        aa, bb = a[:k + 1], b[:k]
-        if q == 2:
-            rows = gf2_pack_rows(aa, bb)
-            nu = k + 1 - gf2_rank(rows)
-            kern = _gf2_kernel(rows, k + 1) if nu else []
-        else:
-            rows = gfq_rows(aa, bb)
-            nu = k + 1 - gfq_rank([r[:] for r in rows], q)
-            kern = _gfq_kernel(rows, q) if nu else ()
-        if k >= 1 and replay_prefix:
-            run_state = _structure_step(stats, q, k + 1, prev_nu, nu, prev_kern, kern,
-                                        run_state, aa, bb, k, record=False)
-        prev_nu, prev_kern = nu, kern
-    if q == 2:
-        _structure_walk_gf2(gf2_pack_rows(a, b), a, b, root_m, prev_nu, prev_kern,
-                            run_state, n_max, stats)
+def _cross_check(tally: _Tally, name: str, ok: bool, m: int, index: int,
+                 run_start: int) -> None:
+    """Re-run the public predicate on rebuilt specs; it must agree with the scan."""
+    fld = PrimeField(tally.q)
+    a, b = _index_to_ab(index, m, tally.q)
+    run = [ToeplitzSpec(field=fld, a=a[:k + 1], b=b[:k]) for k in range(run_start, m + 1)]
+    if name == PLATEAU_RUN:
+        ok_pub = kernel_structure.check_plateau_shift(run)
+    elif name == DESCENT:
+        ok_pub = kernel_structure.check_descent_interior_zeros(run[-1])
+    elif name == ENDS:
+        ok_pub = kernel_structure.check_single_generator_ends(*run)
     else:
-        _structure_walk_gfq(gfq_rows(a, b), a, b, root_m, prev_nu, prev_kern,
-                            run_state, n_max, stats, q)
+        ok_pub = kernel_structure.check_ascent_span(*run)
+    tally.record(name, ok_pub == ok, m, index,
+                 f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})", column=1)
 
 
-def _structure_job(args: Tuple[int, int, int, List[Tuple[int, ...]]]) -> Dict[str, Tuple]:
-    q, n_max, stride, roots = args
-    stats = _StructureStats(q, stride)
-    for digits in roots:
-        _structure_from_root(digits, q, n_max, stats, replay_prefix=True)
-    return stats.as_portable()
+def _structure_scan(args: tuple) -> _Tally:
+    """Apply every qualifying predicate to each step of the walk.
+
+    The kernel and the open plateau run of each order are kept in
+    per-order lists; a run is (start order, all omega so far, all sigma
+    so far), or None outside runs.
+    """
+    q, n_max, split, lo, hi, stride = args
+    own = split if lo else 0
+    eng = engine(q)
+    kernel, omega, sigma, ends = eng.kernel, eng.omega, eng.sigma, eng.ends
+    tally = _Tally(q)
+    kernels: List[tuple] = [()] * (n_max + 1)
+    runs: List[Optional[Tuple[int, bool, bool]]] = [None] * (n_max + 1)
+
+    def check(name: str, ok: bool, m: int, index: int, detail: str,
+              run_start: int) -> None:
+        tally.record(name, ok, m, index, detail)
+        if stride > 0 and index % stride == 0:
+            _cross_check(tally, name, ok, m, index, run_start)
+
+    for m, index, rows, string, _ in walk(q, n_max, split, lo, hi):
+        nu = string[-1]
+        kern = kernels[m] = kernel(rows) if nu else ()
+        runs[m] = None
+        if m == 0:
+            continue
+        prev_nu, prev = string[-2], kernels[m - 1]
+        if nu == prev_nu and nu >= 1:
+            is_w, is_s = kern == omega(prev), kern == sigma(prev)
+            run = runs[m - 1]
+            run = runs[m] = ((m - 1, is_w, is_s) if run is None
+                             else (run[0], run[1] and is_w, run[2] and is_s))
+            if m >= own:
+                check(PLATEAU_RUN, run[1] or run[2], m, index,
+                      "plateau run mixes append-zero and prepend-zero shifts", run[0])
+        elif m < own:
+            continue
+        elif prev_nu == 0 and nu == 1:
+            check(ENDS, 0 not in ends(kern[0], m + 1), m, index,
+                  "fresh kernel generator vanishes at an end", m - 1)
+        elif nu == prev_nu + 1 and prev_nu >= 1:
+            check(ASCENT, kern == eng.span(omega(prev) + sigma(prev)), m, index,
+                  "kernel is not the span of the shifted old kernel", m - 1)
+        elif prev_nu > nu >= 1:
+            check(DESCENT, all(ends(v, m + 1) == (0, 0) for v in kern), m, index,
+                  "descent-interior kernel vector touches an end", m - 1)
+    return tally
 
 
 def verify_structure_theorems(n_max: int, q: int, *, budget: Optional[int] = None,
@@ -926,38 +607,16 @@ def verify_structure_theorems(n_max: int, q: int, *, budget: Optional[int] = Non
     """Check the four kernel-structure predicates on every qualifying
     configuration among specs of order <= n_max.
 
-    Checks run on the scan's packed representations; every
+    Checks run on the engine's own representations; every
     ``cross_check_stride``-th qualifying spec (by lex index) is replayed
     through the public predicates, which must agree.
     """
-    _check_params(n_max, q)
-    _check_jobs(jobs)
+    _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
-
-    merged: Dict[str, List] = {}
-    split = _split_depth(q, n_max, jobs)
-    if split is None:
-        stats = _StructureStats(q, cross_check_stride)
-        for a0 in range(q):
-            _structure_from_root((a0,), q, n_max, stats, replay_prefix=False)
-        _merge_structure(merged, stats.as_portable())
-    else:
-        stats = _StructureStats(q, cross_check_stride)
-        for a0 in range(q):
-            _structure_from_root((a0,), q, split - 1, stats, replay_prefix=False)
-        _merge_structure(merged, stats.as_portable())
-        roots = list(itertools.product(range(q), repeat=2 * split + 1))
-        jobs_args = [(q, n_max, cross_check_stride, chunk)
-                     for chunk in _chunks(roots, jobs * 4)]
-        with Pool(jobs) as pool:
-            for part in pool.imap(_structure_job, jobs_args):
-                _merge_structure(merged, part)
-
-    checks = {
-        name: PredicateCheck(name=name, checked=t[0], cross_checked=t[1],
-                             failures=t[2], counterexample=t[3])
-        for name, t in sorted(merged.items())
-    }
+    tally = _run(_structure_scan, _Tally.merge, q, n_max, jobs, cross_check_stride)
+    # a tally is laid out as the fields of PredicateCheck after the name
+    checks = {name: PredicateCheck(name, *tally.get(name, (0, 0, 0, None)))
+              for name in sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))}
     return StructureReport(
         q=q, n_max=n_max, checks=checks,
         passed=all(c.failures == 0 for c in checks.values()),

@@ -15,9 +15,9 @@ Two elimination engines implement the same exact arithmetic:
 * a GF(2) fast path packing each row into one integer, least
   significant bit = column 0, eliminating with word-wide xors.
 
-The packed layout is an internal contract shared with ``enumeration``,
-which pushes millions of matrices through these functions.  Both
-engines reduce kernels to the same canonical form: the unique reduced
+:func:`engine` picks one of them for a modulus and puts both behind one
+interface, which every caller here and in ``enumeration`` goes through.
+Both reduce kernels to the same canonical form: the unique reduced
 echelon basis with leading entry 1 at the lowest possible index and
 rows ordered by pivot.  Equal subspaces therefore compare equal as
 plain tuples.
@@ -232,6 +232,109 @@ def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector,
 
 
 # ---------------------------------------------------------------------------
+# the engine seam: both representations behind one interface
+
+
+class _PackedGF2:
+    """GF(2) on bit-packed rows; kernels are tuples of packed vectors."""
+
+    def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
+        return gf2_pack_rows(a, b)
+
+    def rank(self, rows: List[int]) -> int:
+        return gf2_rank(rows)
+
+    def kernel(self, rows: List[int]) -> Tuple[int, ...]:
+        return tuple(gf2_nullspace(rows, len(rows)))
+
+    def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
+        return tuple(unpack_bits(v, width) for v in kernel)
+
+    def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
+        m = len(rows) - 1
+        # child row i + 1 is parent row i one column right, behind the b
+        # digit that starts parent row i + 1
+        tail = [(rows[i] << 1) | (rows[i + 1] & 1) for i in range(m)]
+        head0, head1 = rows[0], rows[0] | 2 << m
+        last0, last1 = rows[m] << 1, rows[m] << 1 | 1
+        kids = [[head0, *tail, last0], [head0, *tail, last1],
+                [head1, *tail, last0], [head1, *tail, last1]]
+        size = m + 2
+        return kids, [size - gf2_rank(kids[0]), size - gf2_rank(kids[1]),
+                      size - gf2_rank(kids[2]), size - gf2_rank(kids[3])]
+
+    def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+        return kernel  # an appended zero sets no bit
+
+    def sigma(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(v << 1 for v in kernel)
+
+    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(gf2_rref(vectors)[0])
+
+    def ends(self, v: int, width: int) -> Tuple[int, int]:
+        return v & 1, (v >> (width - 1)) & 1
+
+
+class _DenseGFq:
+    """GF(q) on dense row lists; kernels are tuples of entry tuples."""
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+
+    def rows(self, a: Sequence[int], b: Sequence[int]) -> List[List[int]]:
+        return gfq_rows(a, b)
+
+    def rank(self, rows: List[List[int]]) -> int:
+        return gfq_rank([row[:] for row in rows], self.q)
+
+    def kernel(self, rows: List[List[int]]) -> Tuple[Vector, ...]:
+        return canonical_vectors(gfq_nullspace(rows, self.q), self.q)
+
+    def vectors(self, kernel: Tuple[Vector, ...], width: int) -> Tuple[Vector, ...]:
+        return kernel
+
+    def children(self, rows: List[List[int]]) -> Tuple[List[List[List[int]]], List[int]]:
+        m, q = len(rows) - 1, self.q
+        tail = [[rows[i + 1][0], *rows[i]] for i in range(m)]  # as in _PackedGF2
+        last = rows[m]
+        kids = [[head, *tail, [b_new, *last]]
+                for head in [[*rows[0], a_new] for a_new in range(q)]
+                for b_new in range(q)]
+        return kids, [m + 2 - gfq_rank([row[:] for row in kid], q) for kid in kids]
+
+    def omega(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
+        return tuple(v + (0,) for v in kernel)
+
+    def sigma(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
+        return tuple((0,) + v for v in kernel)
+
+    def span(self, vectors: Sequence[Vector]) -> Tuple[Vector, ...]:
+        return canonical_vectors(vectors, self.q)
+
+    def ends(self, v: Vector, width: int) -> Tuple[int, int]:
+        return v[0], v[-1]
+
+
+_PACKED = _PackedGF2()
+
+
+def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
+    """The elimination engine for GF(q): packed rows at q = 2, dense rows
+    otherwise.  This is the one place the representation is chosen.
+
+    ``rank`` leaves its rows intact; ``kernel`` is canonical, in the
+    engine's own vector form (``vectors`` gives entry tuples);
+    ``children`` gives the rows of the q^2 one-step extensions in
+    (a_new, b_new) order, read off the parent's rows, and the nullity of
+    each from its own rows.  ``omega``/``sigma`` append/prepend a zero
+    to every kernel vector, ``span`` is a canonical span and ``ends``
+    the first and last entry of a vector.
+    """
+    return _PACKED if q == 2 else _DenseGFq(q)
+
+
+# ---------------------------------------------------------------------------
 # public data model
 
 
@@ -323,24 +426,17 @@ def materialize_packed(spec: ToeplitzSpec) -> Tuple[int, ...]:
 
 def rank_nullity(spec: ToeplitzSpec) -> Tuple[int, int]:
     """(rank, nullity) of the materialized matrix, by exact elimination."""
-    q = spec.field.q
-    if q == 2:
-        rank = gf2_rank(gf2_pack_rows(spec.a, spec.b))
-    else:
-        rank = gfq_rank(gfq_rows(spec.a, spec.b), q)
+    eng = engine(spec.field.q)
+    rank = eng.rank(eng.rows(spec.a, spec.b))
     return rank, spec.size - rank
 
 
 def kernel_basis(spec: ToeplitzSpec) -> KernelBasis:
     """Canonical kernel basis of the materialized matrix."""
-    q = spec.field.q
-    width = spec.size
-    if q == 2:
-        packed = gf2_nullspace(gf2_pack_rows(spec.a, spec.b), width)
-        vectors = tuple(unpack_bits(v, width) for v in packed)
-    else:
-        vectors = canonical_vectors(gfq_nullspace(gfq_rows(spec.a, spec.b), q), q)
-    return KernelBasis(field=spec.field, length=width, vectors=vectors)
+    eng = engine(spec.field.q)
+    kernel = eng.kernel(eng.rows(spec.a, spec.b))
+    return KernelBasis(field=spec.field, length=spec.size,
+                       vectors=eng.vectors(kernel, spec.size))
 
 
 def extend(spec: ToeplitzSpec, b_new: Digit, a_new: Digit) -> ToeplitzSpec:
@@ -365,13 +461,8 @@ def nullity_string(spec: ToeplitzSpec) -> Vector:
     Each prefix gets its own elimination; nothing is inferred from
     neighboring prefixes.
     """
-    q = spec.field.q
-    out = []
-    for m in range(spec.order + 1):
-        a, b = spec.a[: m + 1], spec.b[:m]
-        if q == 2:
-            rank = gf2_rank(gf2_pack_rows(a, b))
-        else:
-            rank = gfq_rank(gfq_rows(a, b), q)
-        out.append(m + 1 - rank)
-    return tuple(out)
+    eng = engine(spec.field.q)
+    return tuple(
+        m + 1 - eng.rank(eng.rows(spec.a[: m + 1], spec.b[:m]))
+        for m in range(spec.order + 1)
+    )

@@ -229,6 +229,25 @@ def test_out_writes_file(capsys, tmp_path):
     assert payload["results"]["spectrum"][-1] == {"rank": 0, "count": "1"}
 
 
+def test_out_into_missing_directory_is_invalid(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "table", "--n", "2", "--q", "2", "--out", str(target))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("toepnull: error: cannot write")
+    assert not target.exists()
+
+
+def test_jobs_above_the_cap_are_invalid(capsys, monkeypatch):
+    def no_pool(size):
+        raise AssertionError("no worker pool may start")
+
+    monkeypatch.setattr("toepnull.enumeration.Pool", no_pool)
+    for argv in (["table", "--check-brute-force"], ["verify"]):
+        code, out, err = run(capsys, *argv, "--n", "3", "--q", "2", "--jobs", "100000")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "jobs" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

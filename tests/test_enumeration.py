@@ -1,6 +1,7 @@
 """Exhaustive enumeration: censuses, budgets, parallel determinism, sampling."""
 
 import itertools
+import multiprocessing
 
 import pytest
 
@@ -15,8 +16,11 @@ from toepnull import (
     brute_force_theta_eta,
     count_table,
     enumerate_all,
+    extend,
     extension_census,
     iter_valid_strings,
+    nullity_string,
+    rank_nullity,
     realized_nullity_strings,
     resolve_budget,
     sample_census,
@@ -24,7 +28,9 @@ from toepnull import (
     verify_structure_theorems,
     verify_transition_rules,
 )
-from toepnull.enumeration import _RuleStats
+from toepnull import enumeration, kernel_structure
+from toepnull.enumeration import MAX_JOBS, _Tally, walk
+from toepnull.toeplitz import engine
 
 F2 = PrimeField(2)
 
@@ -53,6 +59,37 @@ def test_enumerate_rejects_bad_parameters():
         list(enumerate_all(-1, 2))
     with pytest.raises(ValueError):
         list(enumerate_all(2, 6))
+
+
+# ---------------------------------------------------------------------------
+# the walker against the slow path
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (1, 5)])
+def test_walk_matches_per_spec_measurements(n, q):
+    eng = engine(q)
+    specs = {m: list(enumerate_all(m, q)) for m in range(n + 1)}
+    seen = {m: [] for m in range(n + 1)}
+    for m, index, rows, string, child_nus in walk(q, n):
+        seen[m].append(index)
+        spec = specs[m][index]
+        assert rows == eng.rows(spec.a, spec.b)
+        assert string == nullity_string(spec)
+        children = [] if m == n else [rank_nullity(extend(spec, b_new, a_new))[1]
+                                      for a_new in range(q) for b_new in range(q)]
+        assert list(child_nus) == children
+    assert sum(map(len, seen.values())) == sum(q ** (2 * m + 1) for m in range(n + 1))
+    for m, indices in seen.items():
+        assert indices == list(range(q ** (2 * m + 1)))
+
+
+def test_walk_preorder_parent_is_last_node_one_order_up():
+    last = {}
+    for m, index, _, string, _ in walk(3, 2):
+        if m:
+            parent_index, parent_string = last[m - 1]
+            assert index // 9 == parent_index and string[:-1] == parent_string
+        last[m] = (index, string)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +223,64 @@ def test_jobs_do_not_change_results():
     }
 
 
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, args):
+        return map(fn, args)
+
+
+def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    _InlinePool.sizes.clear()
+    serial = brute_force_table(3, 2)
+    # the split level of q=2, n=3 holds 2^5 specs, so at most 32 ranges
+    assert brute_force_table(3, 2, jobs=MAX_JOBS).counts == serial.counts
+    assert _InlinePool.sizes == [32]
+    assert verify_transition_rules(3, 2, jobs=3).passed
+    assert _InlinePool.sizes == [32, 3]
+    for bad in (0, MAX_JOBS + 1, 100000, True, 2.0):
+        with pytest.raises(ValueError):
+            brute_force_table(3, 2, jobs=bad)
+        with pytest.raises(ValueError):
+            verify_structure_theorems(3, 2, jobs=bad)
+    assert _InlinePool.sizes == [32, 3]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected faults")
+def test_first_counterexample_is_independent_of_jobs(monkeypatch):
+    real = enumeration.transition_weights
+
+    def skewed(state, q):
+        weights = real(state, q)
+        if state.rule_class.value != "ascending":
+            return weights
+        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
+
+    monkeypatch.setattr(enumeration, "transition_weights", skewed)
+    monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
+    rules = [verify_transition_rules(3, 3, jobs=jobs) for jobs in (1, 2)]
+    structure = [verify_structure_theorems(3, 3, jobs=jobs, cross_check_stride=5)
+                 for jobs in (1, 2)]
+    assert not rules[0].passed and rules[0].counterexample is not None
+    assert not structure[0].passed
+    assert structure[0].checks["plateau_shift"].counterexample is not None
+    assert rules[0] == rules[1]
+    assert structure[0] == structure[1]
+
+
 def test_rule_scan_covers_every_parent():
     report = verify_transition_rules(3, 3)
     assert report.passed and report.mode == "exhaustive"
@@ -210,11 +305,14 @@ def test_structure_scan_counts_steps():
 
 
 def test_rule_stats_flags_wrong_census():
-    stats = _RuleStats(2)
-    stats.record(0, 0, {0: 3, 1: 1}, (1,), (), 0)
-    assert stats.tallies["zero_zero"][:2] == [1, 0]
-    stats.record(0, 0, {0: 2, 1: 2}, (1, 0), (0,), 1)
-    checked, failures, cex = stats.tallies["zero_zero"]
+    tally = _Tally(2)
+    # the four children of a = (1,) have nullities 0, 0, 0, 1
+    tally.census(0, 0, [0, 0, 0, 1], 0, 1)
+    checked, _, failures, _ = tally["zero_zero"]
+    assert (checked, failures) == (1, 0)
+    # a fabricated census for the order-1 spec a = (1, 0), b = (0,)
+    tally.census(0, 0, [0, 0, 1, 1], 1, 4)
+    checked, _, failures, cex = tally["zero_zero"]
     assert (checked, failures) == (2, 1)
     assert cex is not None and cex.order == 1 and cex.a == (1, 0)
     # the recorded spec can be rebuilt and re-measured independently,
@@ -224,10 +322,15 @@ def test_rule_stats_flags_wrong_census():
 
 
 def test_rule_stats_keeps_smallest_counterexample():
-    stats = _RuleStats(2)
-    stats.record(0, 0, {0: 9}, (1, 1), (1,), 1)
-    stats.record(0, 0, {0: 9}, (0,), (), 0)
-    assert stats.tallies["zero_zero"][2].sort_key == (0, 0)
+    tally = _Tally(2)
+    tally.census(0, 0, [0] * 9, 1, 7)
+    tally.census(0, 0, [0] * 9, 0, 0)
+    assert tally["zero_zero"][3].sort_key == (0, 0)
+    # merging keeps the smallest too, whichever side holds it
+    other = _Tally(2)
+    other.census(0, 0, [0] * 9, 1, 7)
+    other.merge(tally)
+    assert other["zero_zero"][2:] == [3, tally["zero_zero"][3]]
 
 
 # ---------------------------------------------------------------------------
