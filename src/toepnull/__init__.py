@@ -27,7 +27,6 @@ from .toeplitz import (
     extend,
     kernel_basis,
     materialize,
-    materialize_packed,
     nullity_string,
     rank_nullity,
     truncate,
@@ -73,6 +72,7 @@ from .enumeration import (
     Counterexample,
     ExtensionCensus,
     PredicateCheck,
+    RankCrossCheckError,
     RuleCheck,
     RuleReport,
     StructureReport,
@@ -95,8 +95,7 @@ __all__ = [
     "DEFAULT_MAX_Q", "FieldElement", "FieldMismatchError", "PrimeField", "is_prime",
     # toeplitz
     "DenseMatrix", "KernelBasis", "ToeplitzSpec", "canonical_vectors", "extend",
-    "kernel_basis", "materialize", "materialize_packed", "nullity_string",
-    "rank_nullity", "truncate",
+    "kernel_basis", "materialize", "nullity_string", "rank_nullity", "truncate",
     # kernel structure
     "PreconditionError", "check_ascent_span", "check_descent_interior_zeros",
     "check_plateau_shift", "check_single_generator_ends", "drop_first", "drop_last",
@@ -110,8 +109,9 @@ __all__ = [
     "transition_weights",
     # enumeration
     "BUDGET_ENV_VAR", "DEFAULT_BUDGET", "BudgetExceededError", "Counterexample",
-    "ExtensionCensus", "PredicateCheck", "RuleCheck", "RuleReport", "StructureReport",
-    "XorShift64", "brute_force_table", "brute_force_theta_eta", "enumerate_all",
-    "extension_census", "realized_nullity_strings", "resolve_budget", "sample_census",
-    "spec_index", "verify_structure_theorems", "verify_transition_rules",
+    "ExtensionCensus", "PredicateCheck", "RankCrossCheckError", "RuleCheck",
+    "RuleReport", "StructureReport", "XorShift64", "brute_force_table",
+    "brute_force_theta_eta", "enumerate_all", "extension_census",
+    "realized_nullity_strings", "resolve_budget", "sample_census", "spec_index",
+    "verify_structure_theorems", "verify_transition_rules",
 ]

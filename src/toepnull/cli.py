@@ -16,9 +16,11 @@ Subcommands:
 * ``closed-forms``  GF(2) closed-form battery cross-checked against the
                     weight model.
 
-Exit codes: 0 success, 2 a verification check failed, 3 the exhaustive
-budget was exceeded, 4 invalid input (including an ``--out`` path that
-cannot be written), 5 unsupported option combination.
+Exit codes: 0 success, 2 a verification check failed (or an exhaustive
+scan's rank cross-check did), 3 the exhaustive budget was exceeded, 4
+invalid input (including an ``--out`` path that cannot be written, and
+``--jobs`` or ``--budget`` out of range on any command that takes them),
+5 unsupported option combination.
 
 JSON output always has the shape ``{tool_version, command, params,
 results, checks}``; matrix counts are decimal strings so arbitrarily
@@ -53,6 +55,7 @@ from .counting import (
 from .enumeration import (
     MAX_JOBS,
     BudgetExceededError,
+    RankCrossCheckError,
     RuleReport,
     StructureReport,
     brute_force_table,
@@ -222,6 +225,14 @@ def _parse_int_list(text: str, label: str) -> Tuple[int, ...]:
 
 def _row_payload(counts: Sequence[int]) -> Dict[str, str]:
     return {str(nu): str(c) for nu, c in enumerate(counts)}
+
+
+def _check_scan_flags(cfg: RunConfig) -> None:
+    """Range-check ``--jobs`` and ``--budget`` even where no scan runs."""
+    if not 1 <= cfg.jobs <= MAX_JOBS:
+        raise ValueError(f"--jobs must be from 1 to {MAX_JOBS}, got {cfg.jobs}")
+    if cfg.budget is not None and cfg.budget < 1:
+        raise ValueError(f"--budget must be positive, got {cfg.budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     cfg = RunConfig.from_args(args)
     try:
+        _check_scan_flags(cfg)
         params, results, checks, csv_rows, text_lines, code = _HANDLERS[cfg.command](cfg)
         payload = {
             "tool_version": __version__,
@@ -462,6 +474,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"toepnull: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RankCrossCheckError as exc:
+        print(f"toepnull: cross-check: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"toepnull: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -14,8 +14,14 @@ lex index, the rows, the nullity string and the nullities of the
 children.  Rows, ranks and kernels come from the engine that
 ``toeplitz.engine`` picks for the modulus (packed GF(2) or dense
 GF(q)), so nothing here depends on q.  Child rows are read off the
-parent's rows (a Toeplitz matrix contains its predecessor), but each
-child's rank is computed from its own rows, once, at the parent.
+parent's rows (a Toeplitz matrix contains its predecessor).  The q^2
+children share all rows but the first and the last, and the engine's
+``children`` eliminates those shared rows once per parent; each child's
+rank is still an exact elimination of its own rows.  As an independent
+check, the walker re-ranks from scratch (``gf2_rank``/``gfq_rank``) all
+children of every spec whose lex index is a multiple of
+RANK_CHECK_STRIDE, the same specs at any worker count; a disagreement
+raises :class:`RankCrossCheckError`.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
@@ -46,6 +52,7 @@ from .toeplitz import gf2_rank  # noqa: F401  the perfbench tracer test looks it
 DEFAULT_BUDGET = 1 << 28
 BUDGET_ENV_VAR = "TOEPNULL_BUDGET"
 MAX_JOBS = 64
+RANK_CHECK_STRIDE = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,6 +67,32 @@ class BudgetExceededError(RuntimeError):
         )
         self.required = required
         self.budget = budget
+
+
+class RankCrossCheckError(RuntimeError):
+    """A child nullity from the engine's shared elimination disagreed
+    with a from-scratch elimination of the child's rows."""
+
+    def __init__(self, order: int, index: int, a_new: int, b_new: int,
+                 shared: int, scratch: int) -> None:
+        super().__init__(order, index, a_new, b_new, shared, scratch)  # picklable
+        self.order, self.index = order, index
+
+    def __str__(self) -> str:
+        order, index, a_new, b_new, shared, scratch = self.args
+        return (f"rank cross-check failed: child (a_new, b_new) = ({a_new}, {b_new}) "
+                f"of the order-{order} spec at index {index} has nullity {shared} by "
+                f"shared elimination but {scratch} from scratch")
+
+
+def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> None:
+    """Re-rank every child of the order-m spec at ``index`` from scratch
+    (``gf2_rank``/``gfq_rank``) against the nullities ``children`` gave."""
+    rank = engine(q).rank
+    for k, (kid, nu) in enumerate(zip(kids, nus)):
+        scratch = m + 2 - rank(kid)
+        if scratch != nu:
+            raise RankCrossCheckError(m, index, *divmod(k, q), nu, scratch)
 
 
 def resolve_budget(budget: Optional[int]) -> int:
@@ -140,7 +173,9 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0) -> Itera
     spec yielded one order up is the parent.  With ``0 <= split <
     n_max`` the walk enters only the order-``split`` specs whose index
     lies in [lo, hi) and, unless ``lo`` is 0, only the ancestors they
-    need.
+    need.  Before a spec whose index is a multiple of RANK_CHECK_STRIDE
+    is yielded, its children are re-ranked from scratch; a mismatch
+    raises :class:`RankCrossCheckError`.
     """
     eng = engine(q)
     children, q2 = eng.children, q * q
@@ -161,6 +196,8 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0) -> Itera
             yield m, index, rows, string, ()
             continue
         kids, nus = children(rows)
+        if not index % RANK_CHECK_STRIDE:
+            _check_ranks(q, kids, nus, m, index)
         yield m, index, rows, string, nus
         m += 1
         base = index * q2
@@ -195,6 +232,8 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int, *extra)
     workers scans them, and ``merge(total, part)`` folds the parts in
     range order.  A scan owns the specs of its range and their
     descendants; the range starting at 0 also owns every shallower spec.
+    If ranges fail a rank cross-check, the failure first in the serial
+    walk's preorder is raised, the one a serial run would raise.
     """
     split = _split_depth(q, n_max, jobs)
     if split is None:
@@ -203,11 +242,20 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int, *extra)
     step = -(-width // min(4 * jobs, width))
     args = [(q, n_max, split, lo, min(lo + step, width)) + extra
             for lo in range(0, width, step)]
+    parts, failures = [], []
     with Pool(min(jobs, len(args))) as pool:
-        parts = pool.imap(scan, args)
-        total = next(parts)
-        for part in parts:
-            merge(total, part)
+        results = pool.imap(scan, args)
+        for _ in args:
+            try:
+                parts.append(next(results))
+            except RankCrossCheckError as exc:
+                failures.append(exc)
+    if failures:
+        # preorder is lex order of digit tuples, a prefix before its extensions
+        raise min(failures, key=lambda e: (e.index * q ** (2 * (n_max - e.order)), e.order))
+    total = parts[0]
+    for part in parts[1:]:
+        merge(total, part)
     return total
 
 
@@ -224,10 +272,13 @@ class ExtensionCensus:
 
 
 def extension_census(spec: ToeplitzSpec) -> ExtensionCensus:
-    """Measure all q^2 one-step extensions of ``spec`` directly."""
-    eng = engine(spec.field.q)
-    counts = dict(Counter(eng.children(eng.rows(spec.a, spec.b))[1]))
-    return ExtensionCensus(base=spec, counts=counts)
+    """Measure all q^2 one-step extensions of ``spec`` directly; every
+    child's nullity is also re-ranked from scratch."""
+    q = spec.field.q
+    eng = engine(q)
+    kids, nus = eng.children(eng.rows(spec.a, spec.b))
+    _check_ranks(q, kids, nus, spec.order, spec_index(spec))
+    return ExtensionCensus(base=spec, counts=dict(Counter(nus)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +525,8 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> RuleReport:
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
     a given (n, q, trials, seed) always examines the same specs.  Useful
     far beyond the exhaustive budget; cost scales with trials, not q^n.
+    The children of every RANK_CHECK_STRIDE-th trial, from trial 0 on,
+    are re-ranked from scratch.
     """
     _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
@@ -481,13 +534,16 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> RuleReport:
     rng = XorShift64(seed)
     eng = engine(q)
     tally = _Tally(q)
-    for _ in range(trials):
+    for trial in range(trials):
         digits = [rng.below(q) for _ in range(2 * n + 1)]
         a, b = _digits_to_ab(digits)
         rows = eng.rows(a, b)
         prev_nu = n - eng.rank(eng.rows(a[:-1], b[:-1])) if n else 0
         index = sum(d * q ** k for k, d in enumerate(reversed(digits)))  # digits in base q
-        tally.census(prev_nu, n + 1 - eng.rank(rows), eng.children(rows)[1], n, index)
+        kids, nus = eng.children(rows)
+        if not trial % RANK_CHECK_STRIDE:
+            _check_ranks(q, kids, nus, n, index)
+        tally.census(prev_nu, n + 1 - eng.rank(rows), nus, n, index)
     return _rule_report(tally, n, "sampled", trials=trials, seed=seed)
 
 

@@ -26,7 +26,7 @@ plain tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import FieldElement, PrimeField, element_value
 
@@ -68,12 +68,9 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return rank
 
 
-def gf2_rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
-    """Reduced echelon form of packed rows.
-
-    Returns (rows, pivots): nonzero reduced rows ordered by pivot column
-    and the matching pivot column indices.
-    """
+def _gf2_pivots(rows: Iterable[int]) -> dict:
+    """Echelon form of packed rows, keyed by each row's lowest set bit,
+    which no other row shares."""
     piv: dict = {}
     for r in rows:
         while r:
@@ -83,6 +80,16 @@ def gf2_rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
                 piv[low] = r
                 break
             r ^= p
+    return piv
+
+
+def gf2_rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Reduced echelon form of packed rows.
+
+    Returns (rows, pivots): nonzero reduced rows ordered by pivot column
+    and the matching pivot column indices.
+    """
+    piv = _gf2_pivots(rows)
     # clear every pivot bit from the other rows, highest pivot first
     for low in sorted(piv, reverse=True):
         row = piv[low]
@@ -218,6 +225,33 @@ def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
     return basis
 
 
+def _gfq_residual(v: List[int], echelon: List[Tuple[int, List[int]]], q: int) -> List[int]:
+    """``v`` reduced by echelon rows (pivot column, row with pivot entry 1
+    and zeros before it) in increasing pivot order: 0 in every pivot
+    column, and 0 everywhere exactly when ``v`` lies in their span."""
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % q for x, y in zip(v, row)]
+    return v
+
+
+def _directions(r0: List[int], r1: List[int], q: int) -> List[Optional[Vector]]:
+    """For d = 0..q-1 the vector r0 + d (r1 - r0) scaled to leading entry
+    1, or None when it is 0; two vectors are dependent exactly when
+    either is None or both are equal."""
+    out: List[Optional[Vector]] = []
+    for d in range(q):
+        v = [(x + d * (y - x)) % q for x, y in zip(r0, r1)]
+        lead = next((x for x in v if x), 0)
+        if lead:
+            inv = pow(lead, q - 2, q)
+            out.append(tuple(x * inv % q for x in v))
+        else:
+            out.append(None)
+    return out
+
+
 def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector, ...]:
     """The unique reduced-echelon basis of span(vectors).
 
@@ -259,9 +293,25 @@ class _PackedGF2:
         last0, last1 = rows[m] << 1, rows[m] << 1 | 1
         kids = [[head0, *tail, last0], [head0, *tail, last1],
                 [head1, *tail, last0], [head1, *tail, last1]]
-        size = m + 2
-        return kids, [size - gf2_rank(kids[0]), size - gf2_rank(kids[1]),
-                      size - gf2_rank(kids[2]), size - gf2_rank(kids[3])]
+        # eliminate the shared tail once; reducing a row by its pivots in
+        # increasing order clears every pivot bit, which leaves a residual
+        # that is 0 exactly when the row lies in the tail's span
+        piv = _gf2_pivots(tail)
+        h0, h1, l0, l1 = head0, head1, last0, last1
+        for low, p in sorted(piv.items()):
+            if h0 & low:
+                h0 ^= p
+            if h1 & low:
+                h1 ^= p
+            if l0 & low:
+                l0 ^= p
+            if l1 & low:
+                l1 ^= p
+        # rank of a child = rank of the tail + rank of its two residuals,
+        # one less than their count of nonzeros when they are equal
+        free = m + 2 - len(piv)
+        return kids, [free - (h > 0) - (l > 0) + (h == l > 0)
+                      for h in (h0, h1) for l in (l0, l1)]
 
     def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
         return kernel  # an appended zero sets no bit
@@ -297,11 +347,22 @@ class _DenseGFq:
     def children(self, rows: List[List[int]]) -> Tuple[List[List[List[int]]], List[int]]:
         m, q = len(rows) - 1, self.q
         tail = [[rows[i + 1][0], *rows[i]] for i in range(m)]  # as in _PackedGF2
-        last = rows[m]
-        kids = [[head, *tail, [b_new, *last]]
-                for head in [[*rows[0], a_new] for a_new in range(q)]
-                for b_new in range(q)]
-        return kids, [m + 2 - gfq_rank([row[:] for row in kid], q) for kid in kids]
+        heads = [[*rows[0], a_new] for a_new in range(q)]
+        lasts = [[b_new, *rows[m]] for b_new in range(q)]
+        kids = [[head, *tail, last] for head in heads for last in lasts]
+        # eliminate the shared tail once (as in _PackedGF2.children); a
+        # residual is linear in the new digit, so two per end give all q
+        reduced, pivots = gfq_rref(tail, q)
+        echelon = list(zip(pivots, reduced))
+        free = [c for c in range(m + 2) if c not in pivots]
+        residuals = [_gfq_residual(v, echelon, q)
+                     for v in (heads[0], heads[1], lasts[0], lasts[1])]
+        # residuals vanish in the pivot columns, so the free ones hold them
+        h0, h1, l0, l1 = ([r[c] for c in free] for r in residuals)
+        hs, ls = _directions(h0, h1, q), _directions(l0, l1, q)
+        # rank of a child = rank of the tail + rank of its two residuals
+        return kids, [len(free) - (h is not None) - (l is not None) + (h is not None and h == l)
+                      for h in hs for l in ls]
 
     def omega(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
         return tuple(v + (0,) for v in kernel)
@@ -323,13 +384,19 @@ def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
     """The elimination engine for GF(q): packed rows at q = 2, dense rows
     otherwise.  This is the one place the representation is chosen.
 
-    ``rank`` leaves its rows intact; ``kernel`` is canonical, in the
-    engine's own vector form (``vectors`` gives entry tuples);
-    ``children`` gives the rows of the q^2 one-step extensions in
-    (a_new, b_new) order, read off the parent's rows, and the nullity of
-    each from its own rows.  ``omega``/``sigma`` append/prepend a zero
-    to every kernel vector, ``span`` is a canonical span and ``ends``
-    the first and last entry of a vector.
+    ``rank`` eliminates its rows from scratch and leaves them intact;
+    ``kernel`` is canonical, in the engine's own vector form
+    (``vectors`` gives entry tuples); ``children`` gives the rows of the
+    q^2 one-step extensions in (a_new, b_new) order, read off the
+    parent's rows, and the nullity of each.  The children share all rows
+    but the first and the last, so ``children`` eliminates those m rows
+    once and reduces the q first-row and q last-row variants against
+    them: a child's rank is the shared rank plus the rank of its two
+    residuals.  That is exact elimination of the child's own rows, with
+    O(m) work per child; ``enumeration`` re-checks a stride of children
+    with ``rank``.  ``omega``/``sigma`` append/prepend a zero to every
+    kernel vector, ``span`` is a canonical span and ``ends`` the first
+    and last entry of a vector.
     """
     return _PACKED if q == 2 else _DenseGFq(q)
 
@@ -383,14 +450,6 @@ class DenseMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def packed_rows(self) -> Tuple[int, ...]:
-        """Bit-packed rows (bit j = column j).  Only meaningful over GF(2)."""
-        if self.field.q != 2:
-            raise ValueError("packed rows require modulus 2")
-        return tuple(
-            sum(bit << j for j, bit in enumerate(row)) for row in self.rows
-        )
-
 
 @dataclass(frozen=True)
 class KernelBasis:
@@ -415,13 +474,6 @@ def materialize(spec: ToeplitzSpec) -> DenseMatrix:
         field=spec.field,
         rows=tuple(tuple(row) for row in gfq_rows(spec.a, spec.b)),
     )
-
-
-def materialize_packed(spec: ToeplitzSpec) -> Tuple[int, ...]:
-    """Bit-packed rows of a GF(2) spec (bit j = column j)."""
-    if spec.field.q != 2:
-        raise ValueError("packed rows require modulus 2")
-    return tuple(gf2_pack_rows(spec.a, spec.b))
 
 
 def rank_nullity(spec: ToeplitzSpec) -> Tuple[int, int]:

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import multiprocessing
 
 import pytest
 
-from toepnull import __version__, count_table
+from toepnull import __version__, count_table, toeplitz
 from toepnull.counting import CountTable
 from toepnull.cli import (
     EXIT_BUDGET,
@@ -246,6 +247,52 @@ def test_jobs_above_the_cap_are_invalid(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--n", "3", "--q", "2", "--jobs", "100000")
         assert (code, out) == (EXIT_INVALID, "")
         assert "jobs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "2", "--q", "2"],
+    ["spectrum", "--n", "2", "--q", "2"],
+    ["verify", "--seed", "1", "--trials", "2", "--n", "2", "--q", "2"],
+])
+def test_jobs_and_budget_are_checked_without_a_scan(capsys, argv):
+    for flags in (["--jobs", "100000"], ["--jobs", "-5"], ["--jobs", "0"], ["--budget", "0"]):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert flags[0] in err
+    assert run(capsys, *argv, "--jobs", "64", "--budget", "1")[0] == EXIT_OK
+
+
+def misreport_child_of_zero_spec(monkeypatch):
+    """Make the shared elimination of both engines report a wrong nullity
+    for the first child of every all-zero spec (lex index 0)."""
+    for cls in (toeplitz._PackedGF2, toeplitz._DenseGFq):
+        def children(self, rows, real=cls.children):
+            kids, nus = real(self, rows)
+            if self.rank(rows) == 0:
+                nus[0] += 1
+            return kids, nus
+        monkeypatch.setattr(cls, "children", children)
+
+
+def cross_check_outcomes(capsys, jobs):
+    return [run(capsys, *argv, "--n", "3", "--q", q, "--jobs", str(jobs), "--format", "json")
+            for argv in (["table", "--check-brute-force"], ["verify"]) for q in ("2", "3")]
+
+
+def test_rank_cross_check_failure_exits_2(capsys, monkeypatch):
+    misreport_child_of_zero_spec(monkeypatch)
+    for code, out, err in cross_check_outcomes(capsys, 1):
+        assert (code, out) == (EXIT_MISMATCH, "")
+        assert err.startswith("toepnull: cross-check: rank cross-check failed: child "
+                              "(a_new, b_new) = (0, 0) of the order-0 spec at index 0")
+        assert "Traceback" not in err
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected fault")
+def test_rank_cross_check_failure_is_independent_of_jobs(capsys, monkeypatch):
+    misreport_child_of_zero_spec(monkeypatch)
+    assert cross_check_outcomes(capsys, 2) == cross_check_outcomes(capsys, 1)
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -10,6 +11,7 @@ from toepnull import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     PrimeField,
+    RankCrossCheckError,
     ToeplitzSpec,
     XorShift64,
     brute_force_table,
@@ -380,6 +382,63 @@ def test_sample_census_validates_trials():
     with pytest.raises(ValueError):
         sample_census(3, 2, trials=-1, seed=0)
     assert sample_census(3, 2, trials=0, seed=0).passed
+
+
+# ---------------------------------------------------------------------------
+# rank cross-checks of the shared elimination
+
+
+def misreport(monkeypatch, q, specs=None):
+    """Make ``engine(q).children`` overstate its last child's nullity, for
+    the (order, index) specs given or for every spec."""
+    eng = engine(q)
+    real = type(eng).children
+    faulty = None if specs is None else [
+        eng.rows(*enumeration._index_to_ab(index, m, q)) for m, index in specs]
+
+    def children(self, rows):
+        kids, nus = real(self, rows)
+        if faulty is None or rows in faulty:
+            nus[-1] += 1
+        return kids, nus
+
+    monkeypatch.setattr(type(eng), "children", children)
+
+
+def test_censuses_cross_check_ranks(monkeypatch):
+    misreport(monkeypatch, 3)
+    with pytest.raises(RankCrossCheckError) as exc:
+        extension_census(ToeplitzSpec(field=PrimeField(3), a=(1, 2), b=(0,)))
+    assert exc.value.args == (1, 15, 2, 2, 1, 0)
+    err = pickle.loads(pickle.dumps(exc.value))
+    assert err.args == exc.value.args and str(err) == str(exc.value)
+    with pytest.raises(RankCrossCheckError):
+        sample_census(9, 3, trials=1, seed=7)  # trial 0 is always re-ranked
+
+
+def test_walk_cross_checks_on_a_stride(monkeypatch):
+    misreport(monkeypatch, 2, [(3, 63)])
+    assert brute_force_table(4, 2).counts != count_table(4, 2).counts
+    monkeypatch.undo()
+    misreport(monkeypatch, 2, [(3, 64)])
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_table(4, 2)
+    assert exc.value.args[:4] == (3, 64, 1, 1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected fault")
+def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
+    # q=5, n=3, jobs=4 splits order 2 into ranges of 196 specs.  The range
+    # at 0 also walks every order-1 spec and reaches (1, 64) only after
+    # the serial walk has met (2, 256), which lies in the next range.
+    misreport(monkeypatch, 5, [(1, 64), (2, 256)])
+    errors = []
+    for jobs in (1, 4):
+        with pytest.raises(RankCrossCheckError) as exc:
+            verify_transition_rules(3, 5, jobs=jobs)
+        errors.append(exc.value.args)
+    assert errors[0] == errors[1] and errors[0][:4] == (2, 256, 4, 4)
 
 
 # ---------------------------------------------------------------------------

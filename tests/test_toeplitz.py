@@ -1,6 +1,7 @@
 """Toeplitz specs: materialization, rank/kernel, extension, nullity strings."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,13 @@ from toepnull import (
     extend,
     kernel_basis,
     materialize,
-    materialize_packed,
     nullity_string,
     rank_nullity,
     truncate,
 )
 from toepnull.toeplitz import (
     canonical_vectors,
+    engine,
     gf2_nullspace,
     gf2_pack_rows,
     gf2_rank,
@@ -72,13 +73,6 @@ def test_constant_diagonals():
         for j in range(m.size):
             expected = spec.a[j - i] if j >= i else spec.b[i - j - 1]
             assert m.entry(i, j) == expected
-
-
-def test_packed_rows_match_dense():
-    spec = spec2((1, 0, 1), (1, 0))
-    assert materialize_packed(spec) == materialize(spec).packed_rows()
-    with pytest.raises(ValueError):
-        materialize_packed(ToeplitzSpec(field=F3, a=(1,), b=()))
 
 
 def test_spec_validation():
@@ -256,3 +250,56 @@ def test_rref_is_idempotent_and_rank_consistent():
     reduced, pivots = gf2_rref(rows)
     assert gf2_rref(reduced)[0] == reduced
     assert len(pivots) == gf2_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# shared elimination of the children against from-scratch elimination
+
+
+def check_children(q, a, b):
+    """``engine(q).children`` must give each extension's own rows and
+    ``m + 2 - rank`` with the rank from a from-scratch elimination."""
+    eng = engine(q)
+    kids, nus = eng.children(eng.rows(a, b))
+    m = len(b)
+    scratch = [eng.rows(a + (a_new,), b + (b_new,)) for a_new in range(q) for b_new in range(q)]
+    assert kids == scratch
+    assert nus == [m + 2 - gf2_rank(rows) if q == 2 else m + 2 - gfq_rank(rows, q)
+                   for rows in scratch]
+    return kids
+
+
+@pytest.mark.parametrize("q, m_max", [(2, 5), (3, 3), (5, 2)])
+def test_shared_children_match_from_scratch_exhaustively(q, m_max):
+    for m in range(m_max + 1):
+        for spec in all_specs(m, q):
+            check_children(q, spec.a, spec.b)
+
+
+def random_digits(rng, q, m):
+    """Uniform, sparse or periodic digits; sparse and periodic specs have
+    rank-deficient shared rows and first/last rows inside their span."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        cycle = [rng.randrange(q) for _ in range(rng.randrange(1, 5))]
+        p = len(cycle)
+        return (tuple(cycle[j % p] for j in range(m + 1)),
+                tuple(cycle[-i % p] for i in range(1, m + 1)))
+    density = 1.0 if kind == 0 else 0.1
+    digits = [rng.randrange(q) if rng.random() < density else 0 for _ in range(2 * m + 1)]
+    return tuple(digits[:m + 1]), tuple(digits[m + 1:])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_shared_children_match_from_scratch_on_random_specs(q):
+    rng = random.Random(1000 + q)
+    eng = engine(q)
+    deficient = zero_residual = 0
+    for _ in range(30):
+        m = rng.randrange(41)
+        a, b = random_digits(rng, q, m)
+        kid = check_children(q, a, b)[0]
+        shared = eng.rank(kid[1:-1])
+        deficient += shared < m
+        zero_residual += shared in (eng.rank(kid[:-1]), eng.rank(kid[1:]))
+    assert deficient and zero_residual
