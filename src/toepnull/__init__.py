@@ -20,13 +20,11 @@ from .field import (
     is_prime,
 )
 from .toeplitz import (
-    DenseMatrix,
     KernelBasis,
     ToeplitzSpec,
     canonical_vectors,
     extend,
     kernel_basis,
-    materialize,
     nullity_string,
     rank_nullity,
     truncate,
@@ -37,8 +35,6 @@ from .kernel_structure import (
     check_descent_interior_zeros,
     check_plateau_shift,
     check_single_generator_ends,
-    drop_first,
-    drop_last,
     iter_valid_strings,
     shift_omega,
     shift_sigma,
@@ -94,12 +90,12 @@ __all__ = [
     # field
     "DEFAULT_MAX_Q", "FieldElement", "FieldMismatchError", "PrimeField", "is_prime",
     # toeplitz
-    "DenseMatrix", "KernelBasis", "ToeplitzSpec", "canonical_vectors", "extend",
-    "kernel_basis", "materialize", "nullity_string", "rank_nullity", "truncate",
+    "KernelBasis", "ToeplitzSpec", "canonical_vectors", "extend", "kernel_basis",
+    "nullity_string", "rank_nullity", "truncate",
     # kernel structure
     "PreconditionError", "check_ascent_span", "check_descent_interior_zeros",
-    "check_plateau_shift", "check_single_generator_ends", "drop_first", "drop_last",
-    "iter_valid_strings", "shift_omega", "shift_sigma", "validate_nullity_string",
+    "check_plateau_shift", "check_single_generator_ends", "iter_valid_strings",
+    "shift_omega", "shift_sigma", "validate_nullity_string",
     "validate_nullity_string_by_patterns",
     # counting
     "CountTable", "PairState", "RuleClass", "ThetaEta", "closed_eta", "closed_theta",

@@ -18,9 +18,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 a verification check failed (or an exhaustive
 scan's rank cross-check did), 3 the exhaustive budget was exceeded, 4
-invalid input (including an ``--out`` path that cannot be written, and
-``--jobs`` or ``--budget`` out of range on any command that takes them),
-5 unsupported option combination.
+invalid input (including a modulus too large to test for primality
+exactly, an ``--out`` path that cannot be written, and ``--jobs`` or
+``--budget`` out of range on any command that takes them), 5
+unsupported option combination.
 
 JSON output always has the shape ``{tool_version, command, params,
 results, checks}``; matrix counts are decimal strings so arbitrarily
@@ -35,7 +36,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -86,30 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully parsed invocation."""
-
-    command: str
-    n: Optional[int] = None
-    q: Optional[int] = None
-    nullity: Optional[int] = None
-    format: str = "text"
-    jobs: int = 1
-    budget: Optional[int] = None
-    seed: Optional[int] = None
-    trials: int = DEFAULT_TRIALS
-    out: Optional[str] = None
-    check_brute_force: bool = False
-    start: Optional[str] = None
-    string: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in vars(args).items() if k in known})
-
-
 def build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text",
@@ -120,6 +96,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="toepnull", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    # count-string and closed-forms take no --jobs/--budget
+    parser.set_defaults(jobs=1, budget=None)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("table", parents=[shared],
@@ -227,7 +205,7 @@ def _row_payload(counts: Sequence[int]) -> Dict[str, str]:
     return {str(nu): str(c) for nu, c in enumerate(counts)}
 
 
-def _check_scan_flags(cfg: RunConfig) -> None:
+def _check_scan_flags(cfg: argparse.Namespace) -> None:
     """Range-check ``--jobs`` and ``--budget`` even where no scan runs."""
     if not 1 <= cfg.jobs <= MAX_JOBS:
         raise ValueError(f"--jobs must be from 1 to {MAX_JOBS}, got {cfg.jobs}")
@@ -239,7 +217,9 @@ def _check_scan_flags(cfg: RunConfig) -> None:
 # subcommands
 
 
-def _cmd_table(cfg: RunConfig):
+def _cmd_table(cfg: argparse.Namespace):
+    if cfg.nullity is not None and cfg.nullity < 0:
+        raise ValueError("--nullity must be nonnegative")
     table = count_table(cfg.n, cfg.q)
     params = {"n": cfg.n, "q": cfg.q, "nullity": cfg.nullity, "jobs": cfg.jobs,
               "budget": cfg.budget, "check_brute_force": cfg.check_brute_force}
@@ -259,8 +239,6 @@ def _cmd_table(cfg: RunConfig):
         checks.append(check)
 
     if cfg.nullity is not None:
-        if cfg.nullity < 0:
-            raise ValueError("--nullity must be nonnegative")
         cells = [(m, table.count(m, cfg.nullity) if cfg.nullity <= m + 1 else 0)
                  for m in range(cfg.n + 1)]
         results = {"q": cfg.q, "n": cfg.n, "nullity": cfg.nullity,
@@ -284,7 +262,7 @@ def _cmd_table(cfg: RunConfig):
     return params, results, checks, csv_rows, text, code
 
 
-def _cmd_spectrum(cfg: RunConfig):
+def _cmd_spectrum(cfg: argparse.Namespace):
     spectrum = rank_spectrum(cfg.n, cfg.q)
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "check_brute_force": cfg.check_brute_force}
@@ -317,7 +295,7 @@ def _cmd_spectrum(cfg: RunConfig):
     return params, results, checks, csv_rows, text, code
 
 
-def _cmd_verify(cfg: RunConfig):
+def _cmd_verify(cfg: argparse.Namespace):
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "seed": cfg.seed, "trials": cfg.trials if cfg.seed is not None else None}
     if cfg.seed is not None:
@@ -355,7 +333,7 @@ def _cmd_verify(cfg: RunConfig):
     return params, results, checks, None, text, EXIT_OK if passed else EXIT_MISMATCH
 
 
-def _cmd_count_string(cfg: RunConfig):
+def _cmd_count_string(cfg: argparse.Namespace):
     start_vals = _parse_int_list(cfg.start, "start")
     if len(start_vals) != 2:
         raise ValueError(f"start must be 'previous,current', got {cfg.start!r}")
@@ -372,7 +350,7 @@ def _nullity1_closed(n: int) -> int:
     return (n + 3) * 2 ** (n - 2) if n >= 2 else 2
 
 
-def _cmd_closed_forms(cfg: RunConfig):
+def _cmd_closed_forms(cfg: argparse.Namespace):
     if cfg.q != 2:
         raise UnsupportedCombinationError(
             f"closed forms are specific to GF(2), got q={cfg.q}")
@@ -435,7 +413,7 @@ _HANDLERS = {
 # driver
 
 
-def _render(cfg: RunConfig, payload: Dict, csv_rows: Optional[List[List]],
+def _render(cfg: argparse.Namespace, payload: Dict, csv_rows: Optional[List[List]],
             text_lines: List[str]) -> str:
     if cfg.format == "json":
         return json.dumps(payload, indent=2) + "\n"
@@ -452,11 +430,10 @@ def _render(cfg: RunConfig, payload: Dict, csv_rows: Optional[List[List]],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except UsageError as exc:
         print(f"toepnull: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    cfg = RunConfig.from_args(args)
     try:
         _check_scan_flags(cfg)
         params, results, checks, csv_rows, text_lines, code = _HANDLERS[cfg.command](cfg)

@@ -53,6 +53,7 @@ DEFAULT_BUDGET = 1 << 28
 BUDGET_ENV_VAR = "TOEPNULL_BUDGET"
 MAX_JOBS = 64
 RANK_CHECK_STRIDE = 64
+PREDICATE_CHECK_STRIDE = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -224,8 +225,8 @@ def _split_depth(q: int, n_max: int, jobs: int) -> Optional[int]:
     return best
 
 
-def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int, *extra):
-    """Run ``scan((q, n_max, split, lo, hi, *extra))`` over the whole tree.
+def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
+    """Run ``scan((q, n_max, split, lo, hi))`` over the whole tree.
 
     Serially that is one call with no split.  Otherwise the split level
     is cut into about 4 * jobs index ranges, a pool of at most ``jobs``
@@ -237,11 +238,10 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int, *extra)
     """
     split = _split_depth(q, n_max, jobs)
     if split is None:
-        return scan((q, n_max, -1, 0, 0) + extra)
+        return scan((q, n_max, -1, 0, 0))
     width = q ** (2 * split + 1)
     step = -(-width // min(4 * jobs, width))
-    args = [(q, n_max, split, lo, min(lo + step, width)) + extra
-            for lo in range(0, width, step)]
+    args = [(q, n_max, split, lo, min(lo + step, width)) for lo in range(0, width, step)]
     parts, failures = [], []
     with Pool(min(jobs, len(args))) as pool:
         results = pool.imap(scan, args)
@@ -615,7 +615,7 @@ def _structure_scan(args: tuple) -> _Tally:
     per-order lists; a run is (start order, all omega so far, all sigma
     so far), or None outside runs.
     """
-    q, n_max, split, lo, hi, stride = args
+    q, n_max, split, lo, hi = args
     own = split if lo else 0
     eng = engine(q)
     kernel, omega, sigma, ends = eng.kernel, eng.omega, eng.sigma, eng.ends
@@ -626,7 +626,7 @@ def _structure_scan(args: tuple) -> _Tally:
     def check(name: str, ok: bool, m: int, index: int, detail: str,
               run_start: int) -> None:
         tally.record(name, ok, m, index, detail)
-        if stride > 0 and index % stride == 0:
+        if not index % PREDICATE_CHECK_STRIDE:
             _cross_check(tally, name, ok, m, index, run_start)
 
     for m, index, rows, string, _ in walk(q, n_max, split, lo, hi):
@@ -659,17 +659,17 @@ def _structure_scan(args: tuple) -> _Tally:
 
 
 def verify_structure_theorems(n_max: int, q: int, *, budget: Optional[int] = None,
-                              jobs: int = 1, cross_check_stride: int = 64) -> StructureReport:
+                              jobs: int = 1) -> StructureReport:
     """Check the four kernel-structure predicates on every qualifying
     configuration among specs of order <= n_max.
 
-    Checks run on the engine's own representations; every
-    ``cross_check_stride``-th qualifying spec (by lex index) is replayed
-    through the public predicates, which must agree.
+    Checks run on the engine's own representations; every qualifying
+    spec whose lex index is a multiple of PREDICATE_CHECK_STRIDE is
+    replayed through the public predicates, which must agree.
     """
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
-    tally = _run(_structure_scan, _Tally.merge, q, n_max, jobs, cross_check_stride)
+    tally = _run(_structure_scan, _Tally.merge, q, n_max, jobs)
     # a tally is laid out as the fields of PredicateCheck after the name
     checks = {name: PredicateCheck(name, *tally.get(name, (0, 0, 0, None)))
               for name in sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))}

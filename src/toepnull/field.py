@@ -1,8 +1,8 @@
-"""Arithmetic in prime fields GF(q).
+"""Prime fields GF(q) and their digits.
 
-Field elements carry a reference to their field, so values from
-different moduli cannot be mixed silently: mismatched operands raise
-:class:`FieldMismatchError` instead of producing garbage.
+Field elements carry a reference to their field, so digits from
+different moduli cannot be mixed silently: :func:`element_value`
+raises :class:`FieldMismatchError` instead of producing garbage.
 
 The modulus is capped (default 13).  Everything downstream of this
 module leans on exhaustive verification over all of GF(q)^k, and a
@@ -12,8 +12,8 @@ doing can lift the cap per field with ``max_q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import KW_ONLY, InitVar, dataclass
+from typing import Union
 
 DEFAULT_MAX_Q = 13
 
@@ -22,18 +22,40 @@ class FieldMismatchError(ValueError):
     """Two operands belong to different prime fields."""
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # Sorenson and Webster (2015)
+
+
 def is_prime(n: int) -> bool:
-    """Trial division, plenty for the small moduli this package allows."""
+    """Miller-Rabin to the prime bases 2 through 41, which is exact below
+    _EXACT_BELOW; larger n without a factor among the bases raise
+    ValueError rather than get a guess."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _EXACT_BELOW:
+        raise ValueError(f"modulus too large: primality is decided exactly only "
+                         f"below {_EXACT_BELOW}, got {n}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """The prime field GF(q).
 
@@ -41,45 +63,24 @@ class PrimeField:
     objects are interchangeable as dictionary keys or dataclass fields.
     """
 
-    __slots__ = ("q",)
+    q: int
+    _: KW_ONLY
+    max_q: InitVar[int] = DEFAULT_MAX_Q
 
-    def __init__(self, q: int, *, max_q: int = DEFAULT_MAX_Q) -> None:
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise ValueError(f"modulus must be an integer, got {q!r}")
-        if not is_prime(q):
-            raise ValueError(f"modulus must be prime, got {q}")
-        if q > max_q:
+    def __post_init__(self, max_q: int) -> None:
+        if not isinstance(self.q, int) or isinstance(self.q, bool):
+            raise ValueError(f"modulus must be an integer, got {self.q!r}")
+        if not is_prime(self.q):
+            raise ValueError(f"modulus must be prime, got {self.q}")
+        if self.q > max_q:
             raise ValueError(
-                f"modulus {q} exceeds the exhaustive-verification cap {max_q}; "
+                f"modulus {self.q} exceeds the exhaustive-verification cap {max_q}; "
                 "pass max_q to allow it"
             )
-        self.q = q
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
 
     def element(self, value: int) -> "FieldElement":
         """The element congruent to ``value``, reduced into [0, q)."""
         return FieldElement(self, value % self.q)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All q elements, ascending by value."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
 
 
 @dataclass(frozen=True)
@@ -94,54 +95,6 @@ class FieldElement:
             raise ValueError(f"element value must be an integer, got {self.value!r}")
         if not 0 <= self.value < self.field.q:
             raise ValueError(f"element value {self.value} outside [0, {self.field.q})")
-
-    def _match(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected a FieldElement, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"operands live in GF({self.field.q}) and GF({other.field.q})"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.field, (self.value + other.value) % self.field.q)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.field, (self.value - other.value) % self.field.q)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._match(other)
-        return FieldElement(self.field, (self.value * other.value) % self.field.q)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, (-self.value) % self.field.q)
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by Fermat's little theorem."""
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        q = self.field.q
-        return FieldElement(self.field, pow(self.value, q - 2, q))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.q})"
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    """x + y in their common field."""
-    return x + y
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """x * y in their common field."""
-    return x * y
-
-
-def inv(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero element."""
-    return x.inverse()
 
 
 def element_value(field: PrimeField, x: Union[FieldElement, int]) -> int:

@@ -52,20 +52,6 @@ def shift_sigma(v: Sequence[int]) -> Vector:
     return (0,) + tuple(v)
 
 
-def drop_first(v: Sequence[int]) -> Vector:
-    """Remove the leading entry; rejects empty vectors."""
-    if len(v) == 0:
-        raise ValueError("cannot drop from an empty vector")
-    return tuple(v[1:])
-
-
-def drop_last(v: Sequence[int]) -> Vector:
-    """Remove the trailing entry; rejects empty vectors."""
-    if len(v) == 0:
-        raise ValueError("cannot drop from an empty vector")
-    return tuple(v[:-1])
-
-
 # ---------------------------------------------------------------------------
 # string grammar, two independent implementations
 

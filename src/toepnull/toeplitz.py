@@ -54,18 +54,7 @@ def gf2_pack_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) by xor elimination, pivot = lowest set bit."""
-    piv: dict = {}
-    rank = 0
-    for r in rows:
-        while r:
-            low = r & -r
-            p = piv.get(low)
-            if p is None:
-                piv[low] = r
-                rank += 1
-                break
-            r ^= p
-    return rank
+    return len(_gf2_pivots(rows))
 
 
 def _gf2_pivots(rows: Iterable[int]) -> dict:
@@ -437,21 +426,6 @@ class ToeplitzSpec:
 
 
 @dataclass(frozen=True)
-class DenseMatrix:
-    """Explicit rows of a materialized spec; entries are ints in [0, q)."""
-
-    field: PrimeField
-    rows: Tuple[Vector, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-
-@dataclass(frozen=True)
 class KernelBasis:
     """Canonical basis of a kernel: reduced echelon rows ordered by pivot."""
 
@@ -459,21 +433,9 @@ class KernelBasis:
     length: int
     vectors: Tuple[Vector, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def materialize(spec: ToeplitzSpec) -> DenseMatrix:
-    """The full (order+1) x (order+1) matrix of a spec."""
-    return DenseMatrix(
-        field=spec.field,
-        rows=tuple(tuple(row) for row in gfq_rows(spec.a, spec.b)),
-    )
 
 
 def rank_nullity(spec: ToeplitzSpec) -> Tuple[int, int]:

@@ -4,6 +4,11 @@ import csv
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +183,33 @@ def test_bad_values_are_invalid(capsys):
     assert run(capsys, "closed-forms", "--n", "0")[0] == EXIT_INVALID
 
 
+def test_nullity_is_checked_before_any_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("no enumeration may start")
+
+    monkeypatch.setattr("toepnull.cli.brute_force_table", no_scan)
+    code, out, err = run(capsys, "table", "--n", "9", "--q", "2", "--check-brute-force",
+                         "--nullity", "-1")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "--nullity" in err
+
+
+def test_large_moduli_are_decided_quickly(capsys):
+    q = 2 ** 61 - 1
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "table", "--n", "2", "--q", str(q))
+    assert code == EXIT_OK
+    assert sum(int(c) for c in payload["results"]["rows"][2]["counts"].values()) == q ** 5
+    code, out, err = run(capsys, "count-string", "--q", str(q), "--start", "0,1",
+                         "--string", "1,0")
+    assert (code, err) == (EXIT_OK, "")
+    assert int(out) == (q - 1) ** 2  # the ascending census weight of a fall
+    assert time.perf_counter() - start < 1
+    code, out, err = run(capsys, "table", "--n", "2", "--q", "3317044064679887385961981")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "modulus too large" in err
+
+
 def test_bad_budget_env_is_invalid(capsys, monkeypatch):
     monkeypatch.setenv("TOEPNULL_BUDGET", "plenty")
     code, out, err = run(capsys, "table", "--n", "2", "--q", "2",
@@ -293,6 +325,17 @@ def test_rank_cross_check_failure_exits_2(capsys, monkeypatch):
 def test_rank_cross_check_failure_is_independent_of_jobs(capsys, monkeypatch):
     misreport_child_of_zero_spec(monkeypatch)
     assert cross_check_outcomes(capsys, 2) == cross_check_outcomes(capsys, 1)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["table", "--n", "2", "--q", "3", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "toepnull", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "toepnull", "table", "--n", "2"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INVALID and proc.stdout == ""
 
 
 def test_version_flag(capsys):

@@ -273,9 +273,9 @@ def test_first_counterexample_is_independent_of_jobs(monkeypatch):
 
     monkeypatch.setattr(enumeration, "transition_weights", skewed)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
+    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
     rules = [verify_transition_rules(3, 3, jobs=jobs) for jobs in (1, 2)]
-    structure = [verify_structure_theorems(3, 3, jobs=jobs, cross_check_stride=5)
-                 for jobs in (1, 2)]
+    structure = [verify_structure_theorems(3, 3, jobs=jobs) for jobs in (1, 2)]
     assert not rules[0].passed and rules[0].counterexample is not None
     assert not structure[0].passed
     assert structure[0].checks["plateau_shift"].counterexample is not None

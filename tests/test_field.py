@@ -1,4 +1,4 @@
-"""Prime-field arithmetic: worked examples, exhaustive axioms, guard rails."""
+"""Prime fields: digit reduction, primality, guard rails."""
 
 import pytest
 
@@ -9,47 +9,11 @@ from toepnull import (
     PrimeField,
     is_prime,
 )
-from toepnull.field import add, element_value, inv, mul
-
-PRIMES = (2, 3, 5, 7, 11, 13)
+from toepnull.field import element_value
 
 
 # ---------------------------------------------------------------------------
-# worked examples
-
-
-@pytest.mark.parametrize(
-    "q, x, y, total",
-    [(2, 1, 1, 0), (3, 2, 2, 1), (5, 0, 4, 4)],
-)
-def test_addition_examples(q, x, y, total):
-    fld = PrimeField(q)
-    assert (fld.element(x) + fld.element(y)).value == total
-    assert add(fld.element(x), fld.element(y)) == fld.element(total)
-
-
-@pytest.mark.parametrize(
-    "q, x, y, product",
-    [(3, 2, 2, 1), (5, 3, 2, 1), (2, 1, 0, 0)],
-)
-def test_multiplication_examples(q, x, y, product):
-    fld = PrimeField(q)
-    assert (fld.element(x) * fld.element(y)).value == product
-    assert mul(fld.element(x), fld.element(y)) == fld.element(product)
-
-
-@pytest.mark.parametrize("q, x, inverse", [(5, 3, 2), (2, 1, 1), (7, 4, 2)])
-def test_inverse_examples(q, x, inverse):
-    fld = PrimeField(q)
-    assert fld.element(x).inverse() == fld.element(inverse)
-    assert inv(fld.element(x)) == fld.element(inverse)
-
-
-def test_subtraction_and_negation():
-    f5 = PrimeField(5)
-    assert (f5.element(1) - f5.element(3)).value == 3
-    assert (-f5.element(2)).value == 3
-    assert (-f5.zero).value == 0
+# digits and primality
 
 
 def test_element_reduces_modulo_q():
@@ -58,39 +22,39 @@ def test_element_reduces_modulo_q():
     assert f3.element(-1).value == 2
 
 
-# ---------------------------------------------------------------------------
-# exhaustive axioms over every allowed modulus
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-@pytest.mark.parametrize("q", PRIMES)
-def test_field_axioms_exhaustive(q):
-    fld = PrimeField(q)
-    elems = list(fld.elements())
-    assert [e.value for e in elems] == list(range(q))
-    for x in elems:
-        assert x + fld.zero == x
-        assert x * fld.one == x
-        assert x * fld.zero == fld.zero
-        assert x + (-x) == fld.zero
-        for y in elems:
-            assert x + y == y + x
-            assert x * y == y * x
-            assert x - y == x + (-y)
-            for z in elems:
-                assert (x + y) + z == x + (y + z)
-                assert (x * y) * z == x * (y * z)
-                assert x * (y + z) == x * y + x * z
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
 
 
-@pytest.mark.parametrize("q", PRIMES)
-def test_every_nonzero_element_inverts(q):
-    fld = PrimeField(q)
-    for x in fld.elements():
-        if x.value == 0:
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
-        else:
-            assert x * x.inverse() == fld.one
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if _trial_division(n)]
+
+
+def test_is_prime_needs_base_37():
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert not is_prime(n)
+
+
+def test_is_prime_large_moduli():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 19 - 1))
+    assert not is_prime(3_317_044_064_679_887_385_961_981 - 1)
+    assert not is_prime(3 * 2 ** 100)  # a factor among the bases settles it at any size
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3_317_044_064_679_887_385_961_981)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2 ** 127 - 1, max_q=2 ** 128)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +80,6 @@ def test_non_integer_modulus_rejected():
         PrimeField(2.0)
     with pytest.raises(ValueError):
         PrimeField(True)
-
-
-def test_cross_field_operations_raise():
-    x = PrimeField(3).element(1)
-    y = PrimeField(5).element(1)
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
-        with pytest.raises(FieldMismatchError):
-            op()
 
 
 def test_fields_compare_by_modulus():

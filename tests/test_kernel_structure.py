@@ -14,8 +14,6 @@ from toepnull import (
     check_descent_interior_zeros,
     check_plateau_shift,
     check_single_generator_ends,
-    drop_first,
-    drop_last,
     iter_valid_strings,
     kernel_basis,
     shift_omega,
@@ -32,7 +30,7 @@ def spec2(a, b):
 
 
 # ---------------------------------------------------------------------------
-# shift and drop helpers
+# shift helpers
 
 
 def test_shift_examples():
@@ -40,22 +38,6 @@ def test_shift_examples():
     assert shift_sigma((1, 2)) == (0, 1, 2)
     assert shift_omega(()) == (0,)
     assert shift_sigma(()) == (0,)
-
-
-def test_drop_examples():
-    assert drop_first((3, 1, 4)) == (1, 4)
-    assert drop_last((3, 1, 4)) == (3, 1)
-    assert drop_first((5,)) == ()
-    with pytest.raises(ValueError):
-        drop_first(())
-    with pytest.raises(ValueError):
-        drop_last(())
-
-
-def test_drops_invert_shifts():
-    for v in itertools.product(range(3), repeat=4):
-        assert drop_last(shift_omega(v)) == v
-        assert drop_first(shift_sigma(v)) == v
 
 
 # ---------------------------------------------------------------------------
