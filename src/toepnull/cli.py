@@ -13,8 +13,10 @@ Subcommands:
                     beyond the exhaustive budget.
 * ``count-string``  weighted count of extension chains realizing one
                     nullity string from a given (previous, current) pair.
-* ``closed-forms``  GF(2) closed-form battery cross-checked against the
-                    weight model.
+* ``closed-forms``  GF(2) closed-form battery cross-checked against one
+                    pass of the weight model.
+
+``python -m toepnull.cli`` and ``python -m toepnull`` run the same command.
 
 Exit codes: 0 success, 2 a verification check failed (or an exhaustive
 scan's rank cross-check did), 3 the exhaustive budget was exceeded, 4
@@ -41,16 +43,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .counting import (
     PairState,
+    battery_rows,
     closed_eta,
+    closed_excursions,
+    closed_nullity1,
     closed_theta,
     count_string,
     count_table,
     invertible_formula,
-    nullity1_structured_count,
     nullity_count_closed,
-    positive_excursion_count,
     rank_spectrum,
-    theta_eta,
 )
 from .enumeration import (
     MAX_JOBS,
@@ -345,53 +347,33 @@ def _cmd_count_string(cfg: argparse.Namespace):
     return params, results, [], None, [str(total)], EXIT_OK
 
 
-def _nullity1_closed(n: int) -> int:
-    # (n + 3) * 2^(n-2), which is the integer 2 at n = 1
-    return (n + 3) * 2 ** (n - 2) if n >= 2 else 2
-
-
 def _cmd_closed_forms(cfg: argparse.Namespace):
     if cfg.q != 2:
         raise UnsupportedCombinationError(
             f"closed forms are specific to GF(2), got q={cfg.q}")
     if cfg.n < 1:
         raise ValueError("--n must be at least 1")
-    table = count_table(cfg.n, 2)
-    tallies = {"theta": [0, 0], "eta": [0, 0], "invertible": [0, 0],
-               "nullity_counts": [0, 0], "nullity1_structured": [0, 0],
-               "positive_excursions": [0, 0]}
+    names = "theta eta invertible nullity_counts nullity1_structured positive_excursions"
+    oks: Dict[str, List[bool]] = {name: [] for name in names.split()}
     rows = []
-    for m in range(1, cfg.n + 1):
-        duo = theta_eta(m)
+    for m, (counts, duo, one, exc) in enumerate(battery_rows(cfg.n), 1):
         th, et = closed_theta(m), closed_eta(m)
-        tallies["theta"][0] += 1
-        tallies["theta"][1] += th != duo.theta
-        tallies["eta"][0] += 1
-        tallies["eta"][1] += et != duo.eta
-        inv = th + et
+        inv = invertible_formula(m) if m >= 2 else th + et
+        oks["theta"].append(th == duo.theta)
+        oks["eta"].append(et == duo.eta)
         if m >= 2:
-            inv = invertible_formula(m)
-            tallies["invertible"][0] += 1
-            tallies["invertible"][1] += inv != table.count(m, 0)
-        for k in range(m + 2):
-            tallies["nullity_counts"][0] += 1
-            tallies["nullity_counts"][1] += nullity_count_closed(m, k) != table.count(m, k)
-        one = nullity1_structured_count(m)
-        tallies["nullity1_structured"][0] += 1
-        tallies["nullity1_structured"][1] += one != _nullity1_closed(m)
-        exc = positive_excursion_count(m, 2)
-        tallies["positive_excursions"][0] += 1
-        tallies["positive_excursions"][1] += exc != m * 2 ** (m - 1)
+            oks["invertible"].append(inv == counts[0])
+        oks["nullity_counts"] += [nullity_count_closed(m, k) == c for k, c in enumerate(counts)]
+        oks["nullity1_structured"].append(one == closed_nullity1(m))
+        oks["positive_excursions"].append(exc == closed_excursions(m))
         rows.append({"n": m, "theta": str(th), "eta": str(et), "invertible": str(inv),
                      "nullity1_structured": str(one), "positive_excursions": str(exc)})
-    checks = [{"name": f"closed:{name}", "passed": t[1] == 0, "checked": t[0]}
-              for name, t in tallies.items()]
+    checks = [{"name": f"closed:{name}", "passed": all(ok), "checked": len(ok)}
+              for name, ok in oks.items()]
     code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_MISMATCH
     params = {"n": cfg.n, "q": cfg.q}
     results = {"q": 2, "n": cfg.n, "rows": rows}
-    header = ["n", "theta", "eta", "invertible", "nullity1_structured",
-              "positive_excursions"]
-    csv_rows = [header] + [[r[h] for h in header] for r in rows]
+    csv_rows = [list(rows[0])] + [list(r.values()) for r in rows]
     text = [f"closed-form battery through order {cfg.n} over GF(2)"]
     text += [f"n={r['n']}: theta={r['theta']} eta={r['eta']} "
              f"invertible={r['invertible']} nullity1={r['nullity1_structured']} "
@@ -472,3 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -14,7 +14,9 @@ the census of the q^2 one-step extensions is fixed:
 Every row sums to q^2.  Summing products of these weights over the
 order-0 start (q - 1 invertible 1 x 1 matrices in state (0, 0), one
 zero matrix in state (0, 1), a virtual nullity 0 in front) counts specs
-exactly; the ``enumeration`` module validates that claim wholesale.
+exactly; the ``enumeration`` module validates that claim wholesale.  The DP
+is one pass over plain (prev, cur) tuples on the weights ``transition_weights``
+returns, and every order-based count reads off that pass.
 
 Everything here is exact integer arithmetic; counts get large fast and
 stay correct.
@@ -74,50 +76,75 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be a prime integer, got {q!r}")
 
 
+def _successors(prev: int, cur: int, q: int) -> Tuple[Tuple[int, int], ...]:
+    # the census table above, unchecked: callers have validated the pair and q
+    if cur == prev + 1:
+        return ((cur + 1, 1), (cur, 2 * q - 2), (cur - 1, (q - 1) ** 2))
+    if cur == 0:
+        return ((0, q * q - q + 1), (1, q - 1)) if prev == 0 else ((0, q * q - q), (1, q))
+    if cur == prev:
+        return ((cur, q), (cur - 1, q * q - q))
+    return ((cur - 1, q * q),)
+
+
 def transition_weights(state: PairState, q: int) -> Tuple[Tuple[int, int], ...]:
     """Census over the q^2 one-step extensions as (next nullity, count) pairs."""
     _check_modulus(q)
-    c = state.cur
-    cls = state.rule_class
-    if cls is RuleClass.ZERO_ZERO:
-        return ((0, q * q - q + 1), (1, q - 1))
-    if cls is RuleClass.ONE_ZERO:
-        return ((0, q * q - q), (1, q))
-    if cls is RuleClass.ASCENDING:
-        return ((c + 1, 1), (c, 2 * q - 2), (c - 1, (q - 1) ** 2))
-    if cls is RuleClass.PLATEAU:
-        return ((c, q), (c - 1, q * q - q))
-    return ((c - 1, q * q),)
+    return _successors(state.prev, state.cur, q)
 
 
 # ---------------------------------------------------------------------------
 # dynamic program over pair states
 
-
-def _initial_distribution(q: int) -> Dict[PairState, int]:
-    # order 0: a_0 != 0 gives nullity 0, a_0 == 0 gives nullity 1,
-    # with a virtual previous nullity of 0 in both cases
-    return {PairState(0, 0): q - 1, PairState(0, 1): 1}
+Dist = Dict[Tuple[int, int], int]
 
 
-def _step(dist: Dict[PairState, int], q: int) -> Dict[PairState, int]:
-    nxt: Dict[PairState, int] = {}
-    for state, mass in dist.items():
-        for value, weight in transition_weights(state, q):
-            key = PairState(state.cur, value)
-            nxt[key] = nxt.get(key, 0) + mass * weight
-    return nxt
+def _walk(dist: Dist, q: int, steps: int, positive: bool = False) -> Iterator[Dist]:
+    """``dist`` and the distribution after each of ``steps`` steps, in turn;
+    with ``positive`` the walk drops every step to nullity 0."""
+    yield dist
+    for _ in range(steps):
+        nxt: Dist = {}
+        for (prev, cur), mass in dist.items():
+            for value, weight in _successors(prev, cur, q):
+                if value or not positive:
+                    key = (cur, value)
+                    nxt[key] = nxt.get(key, 0) + mass * weight
+        dist = nxt
+        yield dist
+
+
+def _last(walk: Iterator[Dist]) -> Dist:
+    for dist in walk:
+        pass
+    return dist
+
+
+def _row(dist: Dist, m: int) -> Tuple[int, ...]:
+    by_nu = [0] * (m + 2)
+    for (_, cur), mass in dist.items():
+        by_nu[cur] += mass
+    return tuple(by_nu)
+
+
+def _to_zero(dist: Dist, q: int) -> int:
+    """Mass that steps from ``dist`` to nullity 0."""
+    return sum(mass * weight for (prev, cur), mass in dist.items()
+               for value, weight in _successors(prev, cur, q) if value == 0)
+
+
+def _orders(n: int, q: int) -> Iterator[Dist]:
+    """The distributions of orders 0..n, from the order-0 start: a_0 != 0
+    gives nullity 0, a_0 == 0 gives nullity 1, both after a virtual 0."""
+    _check_modulus(q)
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    return _walk({(0, 0): q - 1, (0, 1): 1}, q, n)
 
 
 def state_distribution(n: int, q: int) -> Dict[PairState, int]:
     """How many order-n specs end in each terminal pair, per the model."""
-    _check_modulus(q)
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    dist = _initial_distribution(q)
-    for _ in range(n):
-        dist = _step(dist, q)
-    return dist
+    return {PairState(*pair): mass for pair, mass in _last(_orders(n, q)).items()}
 
 
 @dataclass(frozen=True)
@@ -144,25 +171,12 @@ class CountTable:
 
 def count_table(n: int, q: int) -> CountTable:
     """Counts of order-m specs by nullity for all m <= n, by the weight DP."""
-    _check_modulus(q)
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    rows: List[Tuple[int, ...]] = []
-    dist = _initial_distribution(q)
-    for m in range(n + 1):
-        by_nu: Dict[int, int] = {}
-        for state, mass in dist.items():
-            by_nu[state.cur] = by_nu.get(state.cur, 0) + mass
-        rows.append(tuple(by_nu.get(nu, 0) for nu in range(m + 2)))
-        if m < n:
-            dist = _step(dist, q)
-    return CountTable(q=q, counts=tuple(rows))
+    return CountTable(q=q, counts=tuple(_row(d, m) for m, d in enumerate(_orders(n, q))))
 
 
 def rank_spectrum(n: int, q: int) -> Dict[int, int]:
     """Counts of order-n specs by rank, highest rank first."""
-    table = count_table(n, q)
-    row = table.row(n)
+    row = _row(_last(_orders(n, q)), n)
     return {n + 1 - nu: row[nu] for nu in range(n + 2)}
 
 
@@ -179,12 +193,8 @@ def theta_eta(n: int) -> ThetaEta:
     """Terminal-pair split of the invertible order-n count over GF(2), from the DP."""
     if n < 1:
         raise ValueError("terminal-pair split needs order >= 1")
-    dist = state_distribution(n, 2)
-    return ThetaEta(
-        n=n,
-        theta=dist.get(PairState(0, 0), 0),
-        eta=dist.get(PairState(1, 0), 0),
-    )
+    dist = _last(_orders(n, 2))
+    return ThetaEta(n=n, theta=dist.get((0, 0), 0), eta=dist.get((1, 0), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +217,15 @@ def count_string(start: PairState, values: Sequence[int], q: int) -> int:
     if not vals:
         return 1
     if vals[0] != start.cur:
-        raise ValueError(
-            f"position 0: string starts at {vals[0]}, state is at {start.cur}"
-        )
+        raise ValueError(f"position 0: string starts at {vals[0]}, state is at {start.cur}")
     state = start
     total = 1
     for pos in range(1, len(vals)):
         v = vals[pos]
-        weight = None
-        for value, w in transition_weights(state, q):
-            if value == v:
-                weight = w
-                break
+        weight = next((w for value, w in _successors(state.prev, state.cur, q)
+                       if value == v), None)
         if weight is None:
-            raise ValueError(
-                f"position {pos}: step {state.cur} -> {v} is not grammar-legal"
-            )
+            raise ValueError(f"position {pos}: step {state.cur} -> {v} is not grammar-legal")
         total *= weight
         state = PairState(state.cur, v)
     return total
@@ -232,34 +235,13 @@ def count_string(start: PairState, values: Sequence[int], q: int) -> int:
 # all-positive walks
 
 
-def _positive_distribution(n: int, q: int) -> Dict[PairState, int]:
-    """Mass over pair states after n steps from a fresh nullity-1 start,
-    never touching 0."""
-    dist = {PairState(0, 1): 1}
-    for _ in range(n):
-        nxt: Dict[PairState, int] = {}
-        for state, mass in dist.items():
-            for value, weight in transition_weights(state, q):
-                if value >= 1:
-                    key = PairState(state.cur, value)
-                    nxt[key] = nxt.get(key, 0) + mass * weight
-        dist = nxt
-    return dist
-
-
 def positive_excursion_count(n: int, q: int) -> int:
     """Weighted count of length-n excursions: nullity 1 at the start,
     positive throughout, back to 0 exactly at step n."""
     _check_modulus(q)
     if n < 1:
         raise ValueError("an excursion needs at least one step")
-    dist = _positive_distribution(n - 1, q)
-    total = 0
-    for state, mass in dist.items():
-        for value, weight in transition_weights(state, q):
-            if value == 0:
-                total += mass * weight
-    return total
+    return _to_zero(_last(_walk({(0, 1): 1}, q, n - 1, positive=True)), q)
 
 
 def nullity1_structured_count(n: int) -> int:
@@ -267,8 +249,7 @@ def nullity1_structured_count(n: int) -> int:
     positive."""
     if n < 1:
         raise ValueError("needs order >= 1")
-    dist = _positive_distribution(n, 2)
-    return sum(mass for state, mass in dist.items() if state.cur == 1)
+    return _row(_last(_walk({(0, 1): 1}, 2, n, positive=True)), n)[1]
 
 
 def iter_positive_strings(length: int) -> Iterator[Tuple[int, ...]]:
@@ -330,6 +311,20 @@ def closed_eta(n: int) -> int:
     return value
 
 
+def closed_nullity1(n: int) -> int:
+    """(n + 3) * 2^(n-2), the closed form for ``nullity1_structured_count``."""
+    if n < 1:
+        raise ValueError("closed form defined for n >= 1")
+    return (n + 3) * 2**n // 4
+
+
+def closed_excursions(n: int) -> int:
+    """n * 2^(n-1), the closed form for ``positive_excursion_count(n, 2)``."""
+    if n < 1:
+        raise ValueError("closed form defined for n >= 1")
+    return n * 2 ** (n - 1)
+
+
 def invertible_formula(n: int) -> int:
     """Summed-up count of invertible order-n GF(2) specs.
 
@@ -357,3 +352,19 @@ def nullity_count_closed(n: int, k: int) -> int:
     if k == n + 1:
         return 1
     return 3 * 4 ** (n - k)
+
+
+def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], ThetaEta, int, int]]:
+    """For m = 1..n: ``count_table(m, 2).row(m)``, ``theta_eta(m)``,
+    ``nullity1_structured_count(m)`` and ``positive_excursion_count(m, 2)``, read
+    off one pass of each walk: O(n^2) steps where per-order calls take O(n^3)."""
+    if n < 1:
+        raise ValueError("needs order >= 1")
+    full, positive = _orders(n, 2), _walk({(0, 1): 1}, 2, n, positive=True)
+    next(full)
+    rows, before = [], next(positive)
+    for m, dist, pos in zip(range(1, n + 1), full, positive):
+        duo = ThetaEta(m, dist.get((0, 0), 0), dist.get((1, 0), 0))
+        rows.append((_row(dist, m), duo, _row(pos, m)[1], _to_zero(before, 2)))
+        before = pos
+    return rows

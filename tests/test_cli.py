@@ -338,6 +338,19 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == EXIT_INVALID and proc.stdout == ""
 
 
+def test_python_dash_m_cli_module_matches_the_package():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (["closed-forms", "--n", "3", "--format", "csv"], ["table", "--n", "2"],
+                 ["closed-forms", "--n", "3", "--q", "3"]):
+        package, module = [
+            subprocess.run([sys.executable, "-m", name, *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for name in ("toepnull", "toepnull.cli")]
+        assert package.stdout or package.stderr
+        assert (module.returncode, module.stdout, module.stderr) == \
+            (package.returncode, package.stdout, package.stderr)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

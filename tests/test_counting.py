@@ -27,7 +27,14 @@ from toepnull import (
     theta_eta,
     transition_weights,
 )
-from toepnull.counting import state_distribution
+from toepnull import counting
+from toepnull.counting import (
+    ThetaEta,
+    battery_rows,
+    closed_excursions,
+    closed_nullity1,
+    state_distribution,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -135,6 +142,67 @@ def test_rank_spectrum_matches_table():
     assert list(rank_spectrum(4, 3)) == [5, 4, 3, 2, 1, 0]
 
 
+def restarted_dp(n, q, start, positive=False):
+    """The restart-per-order DP: n steps from ``start`` on the public weights."""
+    dist = dict(start)
+    for _ in range(n):
+        nxt = {}
+        for state, mass in dist.items():
+            for value, weight in transition_weights(state, q):
+                if value or not positive:
+                    key = PairState(state.cur, value)
+                    nxt[key] = nxt.get(key, 0) + mass * weight
+        dist = nxt
+    return dist
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 13))
+def test_one_pass_matches_the_restarted_dp(q):
+    start = {PairState(0, 0): q - 1, PairState(0, 1): 1}
+    fresh = {PairState(0, 1): 1}
+    table = count_table(30, q)
+    for n in range(31):
+        dist = restarted_dp(n, q, start)
+        row = tuple(sum(c for s, c in dist.items() if s.cur == nu) for nu in range(n + 2))
+        assert state_distribution(n, q) == dist
+        assert table.row(n) == count_table(n, q).row(n) == row
+        assert rank_spectrum(n, q) == {n + 1 - nu: c for nu, c in enumerate(row)}
+        if n == 0:
+            continue
+        before = restarted_dp(n - 1, q, fresh, positive=True)
+        assert positive_excursion_count(n, q) == sum(
+            mass * w for s, mass in before.items()
+            for value, w in transition_weights(s, q) if value == 0)
+        if q == 2:
+            assert theta_eta(n) == ThetaEta(n, dist.get(PairState(0, 0), 0),
+                                            dist.get(PairState(1, 0), 0))
+            after = restarted_dp(n, q, fresh, positive=True)
+            assert nullity1_structured_count(n) == sum(
+                mass for s, mass in after.items() if s.cur == 1)
+
+
+def test_battery_rows_match_the_per_order_calls():
+    rows = battery_rows(40)
+    assert len(rows) == 40
+    for m, (counts, duo, one, exc) in enumerate(rows, 1):
+        assert counts == count_table(m, 2).row(m)
+        assert duo == theta_eta(m)
+        assert one == nullity1_structured_count(m)
+        assert exc == positive_excursion_count(m, 2)
+    with pytest.raises(ValueError):
+        battery_rows(0)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_count_table_matches_the_general_closed_forms(q):
+    # Daykin (1960); Kaltofen & Lobo (1996): no DP and no scan
+    table = count_table(40, q)
+    for n in range(41):
+        expected = ((q - 1) * q ** (2 * n),
+                    *((q * q - 1) * q ** (2 * (n - k)) for k in range(1, n + 1)), 1)
+        assert table.row(n) == expected
+
+
 # ---------------------------------------------------------------------------
 # invertible/nullity-one counts and their closed forms
 
@@ -157,10 +225,9 @@ def test_theta_eta_closed_forms(n):
 
 
 def test_theta_eta_domain():
-    with pytest.raises(ValueError):
-        theta_eta(0)
-    with pytest.raises(ValueError):
-        closed_theta(0)
+    for fn in (theta_eta, closed_theta, closed_nullity1, closed_excursions):
+        with pytest.raises(ValueError):
+            fn(0)
 
 
 @pytest.mark.parametrize("n", range(2, 15))
@@ -206,6 +273,14 @@ def test_count_string_validation():
     with pytest.raises(ValueError):
         count_string(PairState(1, 1), (1, 2), 2)  # plateau cannot rise
     assert count_string(PairState(0, 0), (), 5) == 1
+
+
+def test_count_string_checks_the_modulus_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(counting, "is_prime", lambda q: calls.append(q) or True)
+    plateau = (1,) + (2,) * 1000 + (1, 0)
+    assert count_string(PairState(0, 1), plateau, 3) == 4 * 3**998 * 6 * 9
+    assert calls == [3]
 
 
 def test_count_string_sums_to_census_totals():
@@ -269,13 +344,13 @@ def test_positive_string_counts_match_enumeration(m):
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_positive_excursion_closed_form_mod_two(n):
-    assert positive_excursion_count(n, 2) == n * 2 ** (n - 1)
+    assert positive_excursion_count(n, 2) == n * 2 ** (n - 1) == closed_excursions(n)
 
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_nullity1_structured_closed_form(n):
     expected = (n + 3) * 2 ** (n - 2) if n >= 2 else 2
-    assert nullity1_structured_count(n) == expected
+    assert nullity1_structured_count(n) == expected == closed_nullity1(n)
 
 
 @pytest.mark.parametrize("q", (2, 3, 5))
