@@ -26,19 +26,20 @@ exactly, an ``--out`` path that cannot be written, and ``--jobs`` or
 unsupported option combination.
 
 JSON output always has the shape ``{tool_version, command, params,
-results, checks}``; matrix counts are decimal strings so arbitrarily
-large exact values survive serialization.  CSV is long format (one row
-per cell); text is for humans.
+results, checks}``; matrix counts are exact decimal strings of any size
+(past CPython's 4300-digit ``str(int)`` cap).  CSV is long format (one
+row per cell); text is for humans; only the chosen format is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .counting import (
@@ -162,38 +163,16 @@ def _cex_payload(cex) -> Optional[Dict]:
             "index": cex.index, "detail": cex.detail}
 
 
-def _cex_line(cex) -> str:
-    return (f"counterexample: order={cex.order} index={cex.index} "
-            f"a={list(cex.a)} b={list(cex.b)}: {cex.detail}")
-
-
-def _rule_checks_payload(report: RuleReport) -> List[Dict]:
+def _checks_payload(report: Union[RuleReport, StructureReport]) -> List[Dict]:
+    rules = isinstance(report, RuleReport)
     return [{
-        "name": f"rule:{name}",
+        "name": f"{'rule' if rules else 'structure'}:{name}",
         "passed": chk.failures == 0,
         "checked": chk.checked,
-        "expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())},
+        **({"expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())}}
+           if rules else {"cross_checked": chk.cross_checked}),
         "counterexample": _cex_payload(chk.counterexample),
     } for name, chk in sorted(report.checks.items())]
-
-
-def _structure_checks_payload(report: StructureReport) -> List[Dict]:
-    return [{
-        "name": f"structure:{name}",
-        "passed": chk.failures == 0,
-        "checked": chk.checked,
-        "cross_checked": chk.cross_checked,
-        "counterexample": _cex_payload(chk.counterexample),
-    } for name, chk in sorted(report.checks.items())]
-
-
-def _check_lines(checks: List[Dict]) -> List[str]:
-    lines = []
-    for c in checks:
-        mark = "ok" if c["passed"] else "FAIL"
-        extra = f" checked={c['checked']}" if "checked" in c else ""
-        lines.append(f"[{mark:>4}] {c['name']}{extra}")
-    return lines
 
 
 def _parse_int_list(text: str, label: str) -> Tuple[int, ...]:
@@ -203,8 +182,18 @@ def _parse_int_list(text: str, label: str) -> Tuple[int, ...]:
         raise ValueError(f"{label} must be comma-separated integers, got {text!r}") from None
 
 
-def _row_payload(counts: Sequence[int]) -> Dict[str, str]:
-    return {str(nu): str(c) for nu, c in enumerate(counts)}
+@contextlib.contextmanager
+def _any_size():
+    """Lift CPython's cap on the digits ``str(int)`` gives (3.10.7 on)
+    while counts become decimal strings; user input is parsed under it."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _check_scan_flags(cfg: argparse.Namespace) -> None:
@@ -216,7 +205,7 @@ def _check_scan_flags(cfg: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (params, results, checks, exit code)
 
 
 def _cmd_table(cfg: argparse.Namespace):
@@ -232,36 +221,21 @@ def _cmd_table(cfg: argparse.Namespace):
         passed = brute.counts == table.counts
         check = {"name": "model_vs_enumeration", "passed": passed}
         if not passed:
-            for m in range(cfg.n + 1):
-                if brute.counts[m] != table.counts[m]:
-                    check["detail"] = (f"order {m}: enumeration {list(brute.counts[m])}"
-                                       f" != model {list(table.counts[m])}")
-                    break
+            m = next(m for m, row in enumerate(brute.counts) if row != table.counts[m])
+            check["detail"] = (f"order {m}: enumeration {list(brute.counts[m])}"
+                               f" != model {list(table.counts[m])}")
             code = EXIT_MISMATCH
         checks.append(check)
-
-    if cfg.nullity is not None:
-        cells = [(m, table.count(m, cfg.nullity) if cfg.nullity <= m + 1 else 0)
-                 for m in range(cfg.n + 1)]
-        results = {"q": cfg.q, "n": cfg.n, "nullity": cfg.nullity,
-                   "rows": [{"m": m, "count": str(c)} for m, c in cells]}
-        csv_rows = [["m", "nullity", "count"]]
-        csv_rows += [[m, cfg.nullity, str(c)] for m, c in cells]
-        text = [f"counts at nullity {cfg.nullity} over GF({cfg.q})"]
-        text += [f"m={m}: {c}" for m, c in cells]
-    else:
-        rows = [{"m": m, "counts": _row_payload(table.row(m))}
-                for m in range(cfg.n + 1)]
-        results = {"q": cfg.q, "n": cfg.n, "rows": rows}
-        csv_rows = [["m", "nullity", "count"]]
-        for m in range(cfg.n + 1):
-            csv_rows += [[m, nu, str(c)] for nu, c in enumerate(table.row(m))]
-        text = [f"counts by nullity over GF({cfg.q}), orders 0..{cfg.n}"]
-        text += [f"m={m}: " + " ".join(str(c) for c in table.row(m))
-                 for m in range(cfg.n + 1)]
-    if checks:
-        text.append("enumeration check: " + ("ok" if checks[0]["passed"] else "MISMATCH"))
-    return params, results, checks, csv_rows, text, code
+    with _any_size():
+        if cfg.nullity is None:
+            results = {"q": cfg.q, "n": cfg.n, "rows": [
+                {"m": m, "counts": {str(nu): str(c) for nu, c in enumerate(row)}}
+                for m, row in enumerate(table.counts)]}
+        else:  # a row of order m ends at nullity m + 1
+            results = {"q": cfg.q, "n": cfg.n, "nullity": cfg.nullity, "rows": [
+                {"m": m, "count": str(row[cfg.nullity] if cfg.nullity < len(row) else 0)}
+                for m, row in enumerate(table.counts)]}
+    return params, results, checks, code
 
 
 def _cmd_spectrum(cfg: argparse.Namespace):
@@ -288,13 +262,9 @@ def _cmd_spectrum(cfg: argparse.Namespace):
             check["detail"] = f"enumeration spectrum {expected} != model {dict(spectrum)}"
             code = EXIT_MISMATCH
         checks.append(check)
-    entries = [{"rank": r, "count": str(c)} for r, c in spectrum.items()]
-    results = {"q": cfg.q, "n": cfg.n, "spectrum": entries}
-    csv_rows = [["rank", "count"]] + [[e["rank"], e["count"]] for e in entries]
-    text = [f"order-{cfg.n} counts by rank over GF({cfg.q})"]
-    text += [f"rank {e['rank']}: {e['count']}" for e in entries]
-    text += _check_lines(checks)
-    return params, results, checks, csv_rows, text, code
+    with _any_size():
+        entries = [{"rank": r, "count": str(c)} for r, c in spectrum.items()]
+    return params, {"q": cfg.q, "n": cfg.n, "spectrum": entries}, checks, code
 
 
 def _cmd_verify(cfg: argparse.Namespace):
@@ -302,37 +272,23 @@ def _cmd_verify(cfg: argparse.Namespace):
               "seed": cfg.seed, "trials": cfg.trials if cfg.seed is not None else None}
     if cfg.seed is not None:
         report = sample_census(cfg.n, cfg.q, cfg.trials, cfg.seed)
-        checks = _rule_checks_payload(report)
+        checks = _checks_payload(report)
         results = {"mode": "sampled", "q": cfg.q, "n": cfg.n,
                    "trials": cfg.trials, "seed": cfg.seed, "passed": report.passed,
                    "counterexample": _cex_payload(report.counterexample)}
-        text = [f"sampled census check: n={cfg.n} q={cfg.q} "
-                f"trials={cfg.trials} seed={cfg.seed}"]
-        text += _check_lines(checks)
-        if report.counterexample is not None:
-            text.append(_cex_line(report.counterexample))
-        text.append("result: " + ("PASS" if report.passed else "FAIL"))
-        return (params, results, checks, None, text,
-                EXIT_OK if report.passed else EXIT_MISMATCH)
-
-    rules = verify_transition_rules(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
-    structure = verify_structure_theorems(cfg.n, cfg.q, budget=cfg.budget,
-                                          jobs=cfg.jobs)
-    checks = _rule_checks_payload(rules) + _structure_checks_payload(structure)
-    passed = rules.passed and structure.passed
-    worst = rules.counterexample
-    if worst is None:
-        bad = [c.counterexample for c in structure.checks.values() if c.counterexample]
-        worst = min(bad, key=lambda c: c.sort_key) if bad else None
-    results = {"mode": "exhaustive", "q": cfg.q, "n": cfg.n,
-               "rules_passed": rules.passed, "structure_passed": structure.passed,
-               "passed": passed, "counterexample": _cex_payload(worst)}
-    text = [f"exhaustive verification: n={cfg.n} q={cfg.q}"]
-    text += _check_lines(checks)
-    if worst is not None:
-        text.append(_cex_line(worst))
-    text.append("result: " + ("PASS" if passed else "FAIL"))
-    return params, results, checks, None, text, EXIT_OK if passed else EXIT_MISMATCH
+    else:
+        rules = verify_transition_rules(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
+        structure = verify_structure_theorems(cfg.n, cfg.q, budget=cfg.budget,
+                                              jobs=cfg.jobs)
+        checks = _checks_payload(rules) + _checks_payload(structure)
+        worst = rules.counterexample or min(
+            (c.counterexample for c in structure.checks.values() if c.counterexample),
+            key=lambda c: c.sort_key, default=None)
+        results = {"mode": "exhaustive", "q": cfg.q, "n": cfg.n,
+                   "rules_passed": rules.passed, "structure_passed": structure.passed,
+                   "passed": rules.passed and structure.passed,
+                   "counterexample": _cex_payload(worst)}
+    return params, results, checks, EXIT_OK if results["passed"] else EXIT_MISMATCH
 
 
 def _cmd_count_string(cfg: argparse.Namespace):
@@ -340,11 +296,10 @@ def _cmd_count_string(cfg: argparse.Namespace):
     if len(start_vals) != 2:
         raise ValueError(f"start must be 'previous,current', got {cfg.start!r}")
     values = _parse_int_list(cfg.string, "string")
-    state = PairState(*start_vals)
-    total = count_string(state, values, cfg.q)
+    total = count_string(PairState(*start_vals), values, cfg.q)
     params = {"q": cfg.q, "start": list(start_vals), "string": list(values)}
-    results = {"count": str(total)}
-    return params, results, [], None, [str(total)], EXIT_OK
+    with _any_size():
+        return params, {"count": str(total)}, [], EXIT_OK
 
 
 def _cmd_closed_forms(cfg: argparse.Namespace):
@@ -366,28 +321,76 @@ def _cmd_closed_forms(cfg: argparse.Namespace):
         oks["nullity_counts"] += [nullity_count_closed(m, k) == c for k, c in enumerate(counts)]
         oks["nullity1_structured"].append(one == closed_nullity1(m))
         oks["positive_excursions"].append(exc == closed_excursions(m))
-        rows.append({"n": m, "theta": str(th), "eta": str(et), "invertible": str(inv),
-                     "nullity1_structured": str(one), "positive_excursions": str(exc)})
+        with _any_size():
+            rows.append({"n": m, "theta": str(th), "eta": str(et), "invertible": str(inv),
+                         "nullity1_structured": str(one), "positive_excursions": str(exc)})
     checks = [{"name": f"closed:{name}", "passed": all(ok), "checked": len(ok)}
               for name, ok in oks.items()]
     code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_MISMATCH
-    params = {"n": cfg.n, "q": cfg.q}
-    results = {"q": 2, "n": cfg.n, "rows": rows}
-    csv_rows = [list(rows[0])] + [list(r.values()) for r in rows]
-    text = [f"closed-form battery through order {cfg.n} over GF(2)"]
-    text += [f"n={r['n']}: theta={r['theta']} eta={r['eta']} "
-             f"invertible={r['invertible']} nullity1={r['nullity1_structured']} "
-             f"excursions={r['positive_excursions']}" for r in rows]
-    text += _check_lines(checks)
-    return params, results, checks, csv_rows, text, code
+    return {"n": cfg.n, "q": cfg.q}, {"q": 2, "n": cfg.n, "rows": rows}, checks, code
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "spectrum": _cmd_spectrum,
-    "verify": _cmd_verify,
-    "count-string": _cmd_count_string,
-    "closed-forms": _cmd_closed_forms,
+# ---------------------------------------------------------------------------
+# renderers: CSV records from the results, text lines from results and checks
+
+
+def _check_lines(checks: List[Dict]) -> List[str]:
+    return [f"[{'ok' if c['passed'] else 'FAIL':>4}] {c['name']}"
+            + (f" checked={c['checked']}" if "checked" in c else "") for c in checks]
+
+
+def _table_cells(res: Dict) -> List[Dict]:
+    nullity = res.get("nullity")
+    return [{"m": r["m"], "nullity": nu, "count": c} for r in res["rows"]
+            for nu, c in (r["counts"].items() if nullity is None else [(nullity, r["count"])])]
+
+
+def _table_text(res: Dict, checks: List[Dict]) -> List[str]:
+    if "nullity" in res:
+        text = [f"counts at nullity {res['nullity']} over GF({res['q']})"]
+        text += [f"m={r['m']}: {r['count']}" for r in res["rows"]]
+    else:
+        text = [f"counts by nullity over GF({res['q']}), orders 0..{res['n']}"]
+        text += [f"m={r['m']}: " + " ".join(r["counts"].values()) for r in res["rows"]]
+    if checks:
+        text.append("enumeration check: " + ("ok" if checks[0]["passed"] else "MISMATCH"))
+    return text
+
+
+def _spectrum_text(res: Dict, checks: List[Dict]) -> List[str]:
+    return ([f"order-{res['n']} counts by rank over GF({res['q']})"]
+            + [f"rank {e['rank']}: {e['count']}" for e in res["spectrum"]]
+            + _check_lines(checks))
+
+
+def _verify_text(res: Dict, checks: List[Dict]) -> List[str]:
+    head = f"exhaustive verification: n={res['n']} q={res['q']}"
+    if res["mode"] == "sampled":
+        head = (f"sampled census check: n={res['n']} q={res['q']} "
+                f"trials={res['trials']} seed={res['seed']}")
+    text = [head, *_check_lines(checks)]
+    cex = res["counterexample"]
+    if cex is not None:
+        text.append(f"counterexample: order={cex['order']} index={cex['index']} "
+                    f"a={cex['a']} b={cex['b']}: {cex['detail']}")
+    return text + ["result: " + ("PASS" if res["passed"] else "FAIL")]
+
+
+def _closed_forms_text(res: Dict, checks: List[Dict]) -> List[str]:
+    return ([f"closed-form battery through order {res['n']} over GF(2)"]
+            + [f"n={r['n']}: theta={r['theta']} eta={r['eta']} "
+               f"invertible={r['invertible']} nullity1={r['nullity1_structured']} "
+               f"excursions={r['positive_excursions']}" for r in res["rows"]]
+            + _check_lines(checks))
+
+
+# command -> (handler, the records of its CSV table or None, its text lines)
+_COMMANDS = {
+    "table": (_cmd_table, _table_cells, _table_text),
+    "spectrum": (_cmd_spectrum, lambda res: res["spectrum"], _spectrum_text),
+    "verify": (_cmd_verify, None, _verify_text),
+    "count-string": (_cmd_count_string, None, lambda res, checks: [res["count"]]),
+    "closed-forms": (_cmd_closed_forms, lambda res: res["rows"], _closed_forms_text),
 }
 
 
@@ -395,18 +398,22 @@ _HANDLERS = {
 # driver
 
 
-def _render(cfg: argparse.Namespace, payload: Dict, csv_rows: Optional[List[List]],
-            text_lines: List[str]) -> str:
+def _render(cfg: argparse.Namespace, params: Dict, results: Dict, checks: List[Dict]) -> str:
+    _, csv_records, text_lines = _COMMANDS[cfg.command]
     if cfg.format == "json":
+        payload = {"tool_version": __version__, "command": cfg.command,
+                   "params": params, "results": results, "checks": checks}
         return json.dumps(payload, indent=2) + "\n"
     if cfg.format == "csv":
-        if csv_rows is None:
+        if csv_records is None:
             raise UnsupportedCombinationError(
                 f"--format csv is not available for {cfg.command}")
+        records = csv_records(results)
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(
+            [list(records[0]), *(r.values() for r in records)])
         return buf.getvalue()
-    return "\n".join(text_lines) + "\n"
+    return "\n".join(text_lines(results, checks)) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -418,15 +425,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     try:
         _check_scan_flags(cfg)
-        params, results, checks, csv_rows, text_lines, code = _HANDLERS[cfg.command](cfg)
-        payload = {
-            "tool_version": __version__,
-            "command": cfg.command,
-            "params": params,
-            "results": results,
-            "checks": checks,
-        }
-        rendered = _render(cfg, payload, csv_rows, text_lines)
+        params, results, checks, code = _COMMANDS[cfg.command][0](cfg)
+        rendered = _render(cfg, params, results, checks)
     except UnsupportedCombinationError as exc:
         print(f"toepnull: unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

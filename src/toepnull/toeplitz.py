@@ -9,9 +9,10 @@ the new one (and, by constant diagonals, in the bottom-right corner
 too).  The nullity string of a spec lists the kernel dimension of every
 embedded prefix, each computed by its own elimination.
 
-Two elimination engines implement the same exact arithmetic:
+Two elimination engines implement the same exact arithmetic, each
+building an echelon form row by row in a dict keyed by pivot column:
 
-* a generic Gaussian elimination modulo q on row lists, and
+* dense row lists modulo any prime q, and
 * a GF(2) fast path packing each row into one integer, least
   significant bit = column 0, eliminating with word-wide xors.
 
@@ -126,81 +127,57 @@ def gfq_rows(a: Sequence[int], b: Sequence[int]) -> List[List[int]]:
     ]
 
 
-def gfq_rank(rows: List[List[int]], q: int) -> int:
-    """Rank modulo q by forward elimination.  Consumes ``rows``."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        prow = rows[piv]
-        rows[piv] = rows[rank]
-        rows[rank] = prow
-        pv = prow[c]
-        if pv != 1:
-            inv = pow(pv, q - 2, q)
-            prow = [x * inv % q for x in prow]
-            rows[rank] = prow
-        for i in range(rank + 1, nrows):
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
-        rank += 1
-    return rank
+def gfq_rank(rows: Iterable[Sequence[int]], q: int) -> int:
+    """Rank modulo q by elimination, pivot = first nonzero column."""
+    return len(_gfq_pivots(rows, q))
 
 
-def gfq_rref(rows: List[List[int]], q: int) -> Tuple[List[List[int]], List[int]]:
+def _gfq_residual(v: Sequence[int], echelon: Iterable[Tuple[int, List[int]]],
+                  q: int) -> Sequence[int]:
+    """``v`` reduced by echelon rows, given as (pivot column, row) pairs
+    whose row has entry 1 at its pivot column and 0 at the pivot columns
+    of the pairs before it: 0 in every pivot column, and 0 everywhere
+    exactly when ``v`` lies in their span."""
+    for c, row in echelon:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % q for x, y in zip(v, row)]
+    return v
+
+
+def _gfq_pivots(rows: Iterable[Sequence[int]], q: int) -> dict:
+    """Echelon form of dense rows modulo q, keyed by each row's pivot
+    column: the row has entry 1 there and 0 before it and at the pivot
+    columns stored before it, as ``_gfq_residual`` takes them.  Reads
+    ``rows`` without changing them."""
+    piv: dict = {}
+    for r in rows:
+        r = _gfq_residual(r, piv.items(), q)
+        c = next(filter(r.__getitem__, range(len(r))), None)
+        if c is not None:
+            inv = pow(r[c], q - 2, q)
+            piv[c] = [x * inv % q for x in r]
+    return piv
+
+
+def gfq_rref(rows: Iterable[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
     """Reduced row echelon form modulo q.
 
-    Returns (rows, pivots): the nonzero reduced rows and their pivot
-    columns.  Does not modify the input.
+    Returns (rows, pivots): the nonzero reduced rows ordered by pivot
+    column and the matching pivot columns.  Does not modify the input.
     """
-    rows = [list(row) for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[piv], rows[rank] = rows[rank], rows[piv]
-        prow = rows[rank]
-        pv = prow[c]
-        if pv != 1:
-            inv = pow(pv, q - 2, q)
-            prow = [x * inv % q for x in prow]
-            rows[rank] = prow
-        for i in range(nrows):
-            if i != rank:
-                f = rows[i][c]
-                if f:
-                    row = rows[i]
-                    rows[i] = [(x - f * y) % q for x, y in zip(row, prow)]
-        pivots.append(c)
-        rank += 1
-    return rows[:rank], pivots
+    echelon = sorted(_gfq_pivots(rows, q).items())
+    # bottom up, reduce each row by the already reduced rows below it
+    for i in range(len(echelon) - 2, -1, -1):
+        c, row = echelon[i]
+        echelon[i] = c, _gfq_residual(row, echelon[i + 1:], q)
+    return [row for _, row in echelon], [c for c, _ in echelon]
 
 
 def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
     """Kernel basis from the reduced echelon form (one vector per free column)."""
     ncols = len(rows[0]) if rows else 0
-    reduced, pivots = gfq_rref(list(rows), q)
+    reduced, pivots = gfq_rref(rows, q)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -212,17 +189,6 @@ def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
             v[p] = (-reduced[i][free]) % q
         basis.append(tuple(v))
     return basis
-
-
-def _gfq_residual(v: List[int], echelon: List[Tuple[int, List[int]]], q: int) -> List[int]:
-    """``v`` reduced by echelon rows (pivot column, row with pivot entry 1
-    and zeros before it) in increasing pivot order: 0 in every pivot
-    column, and 0 everywhere exactly when ``v`` lies in their span."""
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % q for x, y in zip(v, row)]
-    return v
 
 
 def _directions(r0: List[int], r1: List[int], q: int) -> List[Optional[Vector]]:
@@ -247,11 +213,7 @@ def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector,
     Two collections span the same subspace exactly when their canonical
     forms are equal, so subspace comparison is tuple comparison.
     """
-    stacked = [list(v) for v in vectors]
-    if not stacked:
-        return ()
-    reduced, _ = gfq_rref(stacked, q)
-    return tuple(tuple(row) for row in reduced)
+    return tuple(tuple(row) for row in gfq_rref(vectors, q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +287,7 @@ class _DenseGFq:
         return gfq_rows(a, b)
 
     def rank(self, rows: List[List[int]]) -> int:
-        return gfq_rank([row[:] for row in rows], self.q)
+        return gfq_rank(rows, self.q)
 
     def kernel(self, rows: List[List[int]]) -> Tuple[Vector, ...]:
         return canonical_vectors(gfq_nullspace(rows, self.q), self.q)
@@ -341,10 +303,9 @@ class _DenseGFq:
         kids = [[head, *tail, last] for head in heads for last in lasts]
         # eliminate the shared tail once (as in _PackedGF2.children); a
         # residual is linear in the new digit, so two per end give all q
-        reduced, pivots = gfq_rref(tail, q)
-        echelon = list(zip(pivots, reduced))
-        free = [c for c in range(m + 2) if c not in pivots]
-        residuals = [_gfq_residual(v, echelon, q)
+        piv = _gfq_pivots(tail, q)
+        free = [c for c in range(m + 2) if c not in piv]
+        residuals = [_gfq_residual(v, piv.items(), q)
                      for v in (heads[0], heads[1], lasts[0], lasts[1])]
         # residuals vanish in the pivot columns, so the free ones hold them
         h0, h1, l0, l1 = ([r[c] for c in free] for r in residuals)
@@ -373,7 +334,7 @@ def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
     """The elimination engine for GF(q): packed rows at q = 2, dense rows
     otherwise.  This is the one place the representation is chosen.
 
-    ``rank`` eliminates its rows from scratch and leaves them intact;
+    ``rank`` eliminates its rows from scratch and only reads them;
     ``kernel`` is canonical, in the engine's own vector form
     (``vectors`` gives entry tuples); ``children`` gives the rows of the
     q^2 one-step extensions in (a_new, b_new) order, read off the

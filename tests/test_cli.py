@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from toepnull import __version__, count_table, toeplitz
-from toepnull.counting import CountTable
+from toepnull import __version__, cli, count_table, toeplitz
+from toepnull.counting import CountTable, PairState, count_string
 from toepnull.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -79,6 +79,132 @@ def test_text_is_default(capsys):
     code, out, err = run(capsys, "table", "--n", "1", "--q", "3")
     assert code == EXIT_OK
     assert "m=1: 18 8 1" in out
+
+
+PINNED = [
+    (["table", "--n", "3", "--q", "2"],
+     "counts by nullity over GF(2), orders 0..3\n"
+     "m=0: 1 1\nm=1: 4 3 1\nm=2: 16 12 3 1\nm=3: 64 48 12 3 1\n"),
+    (["table", "--n", "3", "--q", "2", "--format", "csv"],
+     "m,nullity,count\n0,0,1\n0,1,1\n1,0,4\n1,1,3\n1,2,1\n2,0,16\n2,1,12\n"
+     "2,2,3\n2,3,1\n3,0,64\n3,1,48\n3,2,12\n3,3,3\n3,4,1\n"),
+    (["table", "--n", "4", "--q", "3", "--nullity", "2"],
+     "counts at nullity 2 over GF(3)\nm=0: 0\nm=1: 1\nm=2: 8\nm=3: 72\nm=4: 648\n"),
+    (["table", "--n", "4", "--q", "3", "--nullity", "2", "--format", "csv"],
+     "m,nullity,count\n0,2,0\n1,2,1\n2,2,8\n3,2,72\n4,2,648\n"),
+    (["spectrum", "--n", "4", "--q", "2"],
+     "order-4 counts by rank over GF(2)\nrank 5: 256\nrank 4: 192\nrank 3: 48\n"
+     "rank 2: 12\nrank 1: 3\nrank 0: 1\n[  ok] closed_form_cross_check checked=6\n"),
+    (["spectrum", "--n", "4", "--q", "2", "--format", "csv"],
+     "rank,count\n5,256\n4,192\n3,48\n2,12\n1,3\n0,1\n"),
+    (["spectrum", "--n", "3", "--q", "3", "--check-brute-force"],
+     "order-3 counts by rank over GF(3)\nrank 4: 1458\nrank 3: 648\nrank 2: 72\n"
+     "rank 1: 8\nrank 0: 1\n[  ok] model_vs_enumeration\n"),
+    (["verify", "--n", "2", "--q", "2"],
+     "exhaustive verification: n=2 q=2\n"
+     "[  ok] rule:ascending checked=3\n[  ok] rule:descending checked=0\n"
+     "[  ok] rule:one_zero checked=1\n[  ok] rule:plateau checked=2\n"
+     "[  ok] rule:start checked=1\n[  ok] rule:zero_zero checked=4\n"
+     "[  ok] structure:ascent_span checked=3\n"
+     "[  ok] structure:descent_interior_zeros checked=1\n"
+     "[  ok] structure:plateau_shift checked=10\n"
+     "[  ok] structure:single_generator_ends checked=6\nresult: PASS\n"),
+    (["verify", "--n", "6", "--q", "3", "--seed", "5", "--trials", "16"],
+     "sampled census check: n=6 q=3 trials=16 seed=5\n"
+     "[  ok] rule:ascending checked=4\n[  ok] rule:descending checked=0\n"
+     "[  ok] rule:one_zero checked=4\n[  ok] rule:plateau checked=1\n"
+     "[  ok] rule:zero_zero checked=7\nresult: PASS\n"),
+    (["closed-forms", "--n", "3"],
+     "closed-form battery through order 3 over GF(2)\n"
+     "n=1: theta=3 eta=1 invertible=4 nullity1=2 excursions=1\n"
+     "n=2: theta=11 eta=5 invertible=16 nullity1=5 excursions=4\n"
+     "n=3: theta=43 eta=21 invertible=64 nullity1=12 excursions=12\n"
+     "[  ok] closed:theta checked=3\n[  ok] closed:eta checked=3\n"
+     "[  ok] closed:invertible checked=2\n[  ok] closed:nullity_counts checked=12\n"
+     "[  ok] closed:nullity1_structured checked=3\n"
+     "[  ok] closed:positive_excursions checked=3\n"),
+    (["closed-forms", "--n", "3", "--format", "csv"],
+     "n,theta,eta,invertible,nullity1_structured,positive_excursions\n"
+     "1,3,1,4,2,1\n2,11,5,16,5,4\n3,43,21,64,12,12\n"),
+    (["count-string", "--q", "13", "--start", "0,1", "--string", "1,2,1,0"], "24336\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED)
+def test_full_text_and_csv_output(capsys, argv, expected):
+    assert run(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+def test_json_builds_neither_csv_nor_text(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a renderer of an unprinted format ran")
+
+    for name, (handler, csv_records, _) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, (handler, csv_records and never, never))
+    for argv, _ in PINNED:
+        code, payload = run_json(capsys, *argv)
+        assert code == EXIT_OK and payload["command"] == argv[0]
+
+
+# ---------------------------------------------------------------------------
+# counts past CPython's 4300-digit limit on str(int)
+
+
+def exact_int(digits):
+    """int(digits) at any length, in chunks each under the digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_counts_of_any_size_are_printed(capsys):
+    q = 2 ** 61 - 1
+    top = (q - 1) * q ** 240  # invertible specs of order 120: 4,426 digits
+    limit = digit_limit()
+    argv = ["table", "--n", "120", "--q", str(q)]
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_OK and exact_int(payload["results"]["rows"][120]["counts"]["0"]) == top
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    assert exact_int(out.splitlines()[-122].split(",")[2]) == top
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert exact_int(out.splitlines()[-1].split()[1]) == top
+    assert digit_limit() == limit
+
+    string = ",".join(["1"] + ["2"] * 10000 + ["1", "0"])
+    expected = count_string(PairState(0, 1), [int(v) for v in string.split(",")], 13)
+    argv = ["count-string", "--q", "13", "--start", "0,1", "--string", string]
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_OK and exact_int(payload["results"]["count"]) == expected
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "") and exact_int(out.strip()) == expected
+    assert digit_limit() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this CPython has no digit limit")
+def test_digit_limit_still_guards_input_and_is_restored(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count-string", "--q", "2", "--start", "0,1",
+                         "--string", "1," + "7" * 5000)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert "comma-separated integers" in err
+    assert time.perf_counter() - start < 1
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for fmt in ("json", "csv", "text"):
+            assert run(capsys, "table", "--n", "3", "--q", "5", "--format", fmt)[0] == EXIT_OK
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +373,9 @@ def test_mismatch_exit_when_enumeration_disagrees(capsys, monkeypatch):
     code, payload = run_json(capsys, "spectrum", "--n", "2", "--q", "2",
                              "--check-brute-force")
     assert code == EXIT_MISMATCH
+    assert run(capsys, "table", "--n", "2", "--q", "2", "--check-brute-force") == (
+        EXIT_MISMATCH, "counts by nullity over GF(2), orders 0..2\n"
+        "m=0: 1 1\nm=1: 4 3 1\nm=2: 16 12 3 1\nenumeration check: MISMATCH\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from toepnull.toeplitz import (
     gf2_rref,
     gfq_nullspace,
     gfq_rank,
+    gfq_rref,
     gfq_rows,
     unpack_bits,
 )
@@ -303,3 +304,74 @@ def test_shared_children_match_from_scratch_on_random_specs(q):
         deficient += shared < m
         zero_residual += shared in (eng.rank(kid[:-1]), eng.rank(kid[1:]))
     assert deficient and zero_residual
+
+
+# ---------------------------------------------------------------------------
+# GF(q) elimination against properties that need no second eliminator
+
+
+def reduced_by(v, reduced, pivots, q):
+    """``v`` minus its pivot-column entries times the matching rref rows."""
+    out = list(v)
+    for row, p in zip(reduced, pivots):
+        f = v[p]
+        out = [(x - f * y) % q for x, y in zip(out, row)]
+    return out
+
+
+def random_matrices(rng, q):
+    """Square rows and the m x (m+2) rows a spec's children share, from
+    uniform, sparse and periodic digits, plus zero rows and no rows."""
+    yield []
+    yield [[0] * 3 for _ in range(2)]
+    yield [[0, 2 % q, 1], [0, 0, 0], [0, 1, 1]]
+    for _ in range(12):
+        m = rng.randrange(41)
+        a, b = random_digits(rng, q, m)
+        yield gfq_rows(a, b)
+        yield gfq_rows(a + (rng.randrange(q),), b + (rng.randrange(q),))[1:-1]
+
+
+def check_elimination(rows, q):
+    width = len(rows[0]) if rows else 0
+    before = [list(row) for row in rows]
+    rank = gfq_rank(rows, q)
+    reduced, pivots = gfq_rref(rows, q)
+    assert [list(row) for row in rows] == before  # both only read their input
+    assert len(reduced) == len(pivots) == rank
+    # reduced echelon form: strictly increasing pivots, leading entry 1,
+    # and zeros in every other row's pivot column
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(reduced, pivots):
+        assert all(0 <= x < q for x in row) and row[p] == 1 and not any(row[:p])
+        assert [other[p] for other in reduced] == [int(other is row) for other in reduced]
+    # the rref rows span every input row
+    assert all(not any(reduced_by(v, reduced, pivots, q)) for v in rows)
+    assert gfq_rank(list(zip(*rows)), q) == rank  # rank(A) == rank(A^T)
+    kernel = gfq_nullspace(rows, q)
+    assert len(kernel) == width - rank
+    assert gfq_rank(kernel, q) == len(kernel)
+    assert all(sum(x * y for x, y in zip(row, v)) % q == 0 for v in kernel for row in rows)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_gfq_elimination_properties(q):
+    rng = random.Random(2000 + q)
+    for rows in random_matrices(rng, q):
+        check_elimination(rows, q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_gfq_rank_counts_the_row_space(q):
+    """q^rank is the number of distinct combinations of the rows."""
+    rng = random.Random(3000 + q)
+    for _ in range(40):
+        k, width = rng.randrange(1, 4 if q > 7 else 5), rng.randrange(1, 5)
+        rows = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(width)]
+                for _ in range(k)]
+        if rng.random() < 0.3:
+            rows.append([(x + 2 * y) % q for x, y in zip(rows[0], rows[-1])])
+        span = {tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(width))
+                for coeffs in itertools.product(range(q), repeat=len(rows))}
+        assert q ** gfq_rank(rows, q) == len(span)
+        check_elimination(rows, q)
