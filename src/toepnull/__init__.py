@@ -81,8 +81,7 @@ from .enumeration import (
     resolve_budget,
     sample_census,
     spec_index,
-    verify_structure_theorems,
-    verify_transition_rules,
+    verify_exhaustive,
 )
 
 __all__ = [
@@ -109,5 +108,5 @@ __all__ = [
     "RuleReport", "StructureReport", "XorShift64", "brute_force_table",
     "brute_force_theta_eta", "enumerate_all", "extension_census",
     "realized_nullity_strings", "resolve_budget", "sample_census", "spec_index",
-    "verify_structure_theorems", "verify_transition_rules",
+    "verify_exhaustive",
 ]

@@ -8,9 +8,10 @@ Subcommands:
 * ``spectrum``      order-n counts by rank; at q=2 the row is also
                     cross-checked against the closed forms.
 * ``verify``        exhaustive cross-validation of the transition rules
-                    and the kernel-structure predicates; with ``--seed``
-                    it instead spot-checks random specs, which works far
-                    beyond the exhaustive budget.
+                    and the kernel-structure predicates, both read off
+                    one walk of the tree; with ``--seed`` it instead
+                    spot-checks random specs, which works far beyond the
+                    exhaustive budget.
 * ``count-string``  weighted count of extension chains realizing one
                     nullity string from a given (previous, current) pair.
 * ``closed-forms``  GF(2) closed-form battery cross-checked against one
@@ -23,7 +24,10 @@ scan's rank cross-check did), 3 the exhaustive budget was exceeded, 4
 invalid input (including a modulus too large to test for primality
 exactly, an ``--out`` path that cannot be written, and ``--jobs`` or
 ``--budget`` out of range on any command that takes them), 5
-unsupported option combination.
+unsupported option combination.  Checks run in this order, and the
+first that fails sets the code: parsing and the ``--jobs``/``--budget``
+ranges (4), then an unsupported ``--format`` (5), then the command's
+own checks and work.
 
 JSON output always has the shape ``{tool_version, command, params,
 results, checks}``; matrix counts are exact decimal strings of any size
@@ -63,8 +67,7 @@ from .enumeration import (
     StructureReport,
     brute_force_table,
     sample_census,
-    verify_structure_theorems,
-    verify_transition_rules,
+    verify_exhaustive,
 )
 
 EXIT_OK = 0
@@ -277,9 +280,7 @@ def _cmd_verify(cfg: argparse.Namespace):
                    "trials": cfg.trials, "seed": cfg.seed, "passed": report.passed,
                    "counterexample": _cex_payload(report.counterexample)}
     else:
-        rules = verify_transition_rules(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
-        structure = verify_structure_theorems(cfg.n, cfg.q, budget=cfg.budget,
-                                              jobs=cfg.jobs)
+        rules, structure = verify_exhaustive(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
         checks = _checks_payload(rules) + _checks_payload(structure)
         worst = rules.counterexample or min(
             (c.counterexample for c in structure.checks.values() if c.counterexample),
@@ -405,9 +406,6 @@ def _render(cfg: argparse.Namespace, params: Dict, results: Dict, checks: List[D
                    "params": params, "results": results, "checks": checks}
         return json.dumps(payload, indent=2) + "\n"
     if cfg.format == "csv":
-        if csv_records is None:
-            raise UnsupportedCombinationError(
-                f"--format csv is not available for {cfg.command}")
         records = csv_records(results)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
@@ -425,6 +423,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     try:
         _check_scan_flags(cfg)
+        if cfg.format == "csv" and _COMMANDS[cfg.command][1] is None:
+            raise UnsupportedCombinationError(
+                f"--format csv is not available for {cfg.command}")
         params, results, checks, code = _COMMANDS[cfg.command][0](cfg)
         rendered = _render(cfg, params, results, checks)
     except UnsupportedCombinationError as exc:

@@ -21,7 +21,8 @@ rank is still an exact elimination of its own rows.  As an independent
 check, the walker re-ranks from scratch (``gf2_rank``/``gfq_rank``) all
 children of every spec whose lex index is a multiple of
 RANK_CHECK_STRIDE, the same specs at any worker count; a disagreement
-raises :class:`RankCrossCheckError`.
+raises :class:`RankCrossCheckError`.  :func:`verify_exhaustive` reads the
+rule censuses and the kernel predicates off one walk.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
@@ -323,7 +324,7 @@ def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# tallies and transition-rule verification
+# tallies and rule reports
 
 
 @dataclass(frozen=True)
@@ -456,40 +457,6 @@ def _rule_report(tally: _Tally, n_max: int, mode: str, start: Optional[RuleCheck
     )
 
 
-def _rules_scan(args: tuple) -> _Tally:
-    q, n_max, split, lo, hi = args
-    own = split if lo else 0
-    tally = _Tally(q)
-    for m, index, _, string, child_nus in walk(q, n_max, split, lo, hi):
-        if child_nus and m >= own:
-            tally.census(string[-2] if m else 0, string[-1], child_nus, m, index)
-    return tally
-
-
-def verify_transition_rules(n_max: int, q: int, *, budget: Optional[int] = None,
-                            jobs: int = 1) -> RuleReport:
-    """Census every spec of order < n_max and compare with the weight model.
-
-    Also checks the order-0 start: over the q choices of the diagonal
-    digit, q - 1 specs open at nullity 0 and one at nullity 1.
-    """
-    _check_params(n_max, q, jobs)
-    _require_budget(n_max, q, budget)
-    tally = _run(_rules_scan, _Tally.merge, q, n_max, jobs)
-
-    # the order-0 start: census of the first nullity over the q diagonal digits
-    eng = engine(q)
-    start_census = dict(Counter(1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)))
-    start_expected = {0: q - 1, 1: 1}
-    start = RuleCheck(rule=START_RULE, expected_offsets=dict(start_expected), checked=1)
-    if start_census != start_expected:
-        start.failures = 1
-        start.counterexample = Counterexample(
-            order=0, a=(), b=(), index=0,
-            detail=f"start census {start_census} != expected {start_expected}")
-    return _rule_report(tally, n_max, "exhaustive", start)
-
-
 # ---------------------------------------------------------------------------
 # sampled census spot checks
 
@@ -560,7 +527,7 @@ def realized_nullity_strings(n_max: int, q: int, *,
 
 
 # ---------------------------------------------------------------------------
-# structural predicate verification
+# exhaustive verification: rule censuses and kernel predicates in one walk
 
 
 @dataclass
@@ -608,8 +575,10 @@ def _cross_check(tally: _Tally, name: str, ok: bool, m: int, index: int,
                  f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})", column=1)
 
 
-def _structure_scan(args: tuple) -> _Tally:
-    """Apply every qualifying predicate to each step of the walk.
+def _verify_scan(args: tuple) -> _Tally:
+    """Census each spec's children (order 0 with a virtual previous
+    nullity 0) and apply every qualifying predicate to each step, into
+    one tally: rule-class names and predicate names do not overlap.
 
     The kernel and the open plateau run of each order are kept in
     per-order lists; a run is (start order, all omega so far, all sigma
@@ -629,8 +598,10 @@ def _structure_scan(args: tuple) -> _Tally:
         if not index % PREDICATE_CHECK_STRIDE:
             _cross_check(tally, name, ok, m, index, run_start)
 
-    for m, index, rows, string, _ in walk(q, n_max, split, lo, hi):
+    for m, index, rows, string, child_nus in walk(q, n_max, split, lo, hi):
         nu = string[-1]
+        if child_nus and m >= own:
+            tally.census(string[-2] if m else 0, nu, child_nus, m, index)
         kern = kernels[m] = kernel(rows) if nu else ()
         runs[m] = None
         if m == 0:
@@ -658,22 +629,35 @@ def _structure_scan(args: tuple) -> _Tally:
     return tally
 
 
-def verify_structure_theorems(n_max: int, q: int, *, budget: Optional[int] = None,
-                              jobs: int = 1) -> StructureReport:
-    """Check the four kernel-structure predicates on every qualifying
-    configuration among specs of order <= n_max.
+def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
+                      jobs: int = 1) -> Tuple[RuleReport, StructureReport]:
+    """Rule and structure reports for every spec of order <= n_max, from
+    one walk.
 
-    Checks run on the engine's own representations; every qualifying
-    spec whose lex index is a multiple of PREDICATE_CHECK_STRIDE is
+    The rule report compares the census of every spec of order < n_max
+    with the weight model, and checks the order-0 start: over the q
+    diagonal digits, q - 1 specs open at nullity 0 and one at nullity 1.
+    The structure report checks the four kernel-structure predicates on
+    every qualifying step, on the engine's own representations; each
+    such spec whose lex index is a multiple of PREDICATE_CHECK_STRIDE is
     replayed through the public predicates, which must agree.
     """
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
-    tally = _run(_structure_scan, _Tally.merge, q, n_max, jobs)
+    tally = _run(_verify_scan, _Tally.merge, q, n_max, jobs)
+
+    # the order-0 start: census of the first nullity over the q diagonal digits
+    eng = engine(q)
+    start_census = dict(Counter(1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)))
+    start = RuleCheck(rule=START_RULE, expected_offsets={0: q - 1, 1: 1}, checked=1)
+    if start_census != start.expected_offsets:
+        start.failures = 1
+        start.counterexample = Counterexample(
+            order=0, a=(), b=(), index=0,
+            detail=f"start census {start_census} != expected {start.expected_offsets}")
     # a tally is laid out as the fields of PredicateCheck after the name
     checks = {name: PredicateCheck(name, *tally.get(name, (0, 0, 0, None)))
               for name in sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))}
-    return StructureReport(
-        q=q, n_max=n_max, checks=checks,
-        passed=all(c.failures == 0 for c in checks.values()),
-    )
+    structure = StructureReport(q=q, n_max=n_max, checks=checks,
+                                passed=all(c.failures == 0 for c in checks.values()))
+    return _rule_report(tally, n_max, "exhaustive", start), structure

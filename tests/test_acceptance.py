@@ -7,6 +7,7 @@ with ``pytest tests/test_acceptance.py`` when re-checking the headline
 claims.
 """
 
+import functools
 from contextlib import contextmanager
 
 import pytest
@@ -30,9 +31,15 @@ from toepnull import (
     theta_eta,
     validate_nullity_string,
     validate_nullity_string_by_patterns,
-    verify_structure_theorems,
-    verify_transition_rules,
+    verify_exhaustive,
 )
+
+
+@functools.cache
+def verified(n_max, q):
+    """The rule and structure reports of one exhaustive walk, shared by
+    criteria 4 and 5."""
+    return verify_exhaustive(n_max, q)
 
 
 @contextmanager
@@ -100,7 +107,7 @@ def test_criterion_4_transition_rules(capsys):
         identity = ToeplitzSpec(field=PrimeField(3), a=(1, 0), b=(0,))
         assert extension_census(identity).counts == {0: 7, 1: 2}
         for q, n_max in ((2, 8), (3, 5), (5, 3)):
-            report = verify_transition_rules(n_max, q)
+            report, _ = verified(n_max, q)
             assert report.passed, f"rule failure at q={q}: {report.counterexample}"
             assert all(c.checked > 0 for c in report.checks.values())
 
@@ -109,7 +116,7 @@ def test_criterion_5_kernel_structure(capsys):
     with criterion(capsys, "5 kernel-structure predicates: exhaustive scans "
                            "(q=2 n<=8, q=3 n<=5)"):
         for q, n_max in ((2, 8), (3, 5)):
-            report = verify_structure_theorems(n_max, q)
+            _, report = verified(n_max, q)
             assert report.passed, f"structure failure at q={q}"
             assert all(c.checked > 0 for c in report.checks.values())
             assert all(c.cross_checked > 0 for c in report.checks.values())

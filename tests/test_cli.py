@@ -254,6 +254,52 @@ def test_verify_exhaustive(capsys):
     assert payload["results"]["counterexample"] is None
 
 
+# (name, checked, expected_offsets or cross_checked, passed) of every check
+VERIFY_CHECKS = {
+    ("3", "3"): [
+        ("rule:ascending", 51, {"-1": 4, "0": 4, "1": 1}, True),
+        ("rule:descending", 4, {"-1": 9}, True),
+        ("rule:one_zero", 44, {"0": 6, "1": 3}, True),
+        ("rule:plateau", 36, {"-1": 6, "0": 3}, True),
+        ("rule:start", 1, {"0": 2, "1": 1}, True),
+        ("rule:zero_zero", 138, {"0": 7, "1": 2}, True),
+        ("structure:ascent_span", 51, 3, True),
+        ("structure:descent_interior_zeros", 48, 1, True),
+        ("structure:plateau_shift", 312, 4, True),
+        ("structure:single_generator_ends", 408, 4, True),
+    ],
+    ("5", "2"): [
+        ("rule:ascending", 151, {"-1": 1, "0": 2, "1": 1}, True),
+        ("rule:descending", 34, {"-1": 4}, True),
+        ("rule:one_zero", 112, {"0": 2, "1": 2}, True),
+        ("rule:plateau", 156, {"-1": 2, "0": 2}, True),
+        ("rule:start", 1, {"0": 1, "1": 1}, True),
+        ("rule:zero_zero", 229, {"0": 3, "1": 1}, True),
+        ("structure:ascent_span", 151, 6, True),
+        ("structure:descent_interior_zeros", 146, 2, True),
+        ("structure:plateau_shift", 614, 12, True),
+        ("structure:single_generator_ends", 453, 4, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, q", VERIFY_CHECKS)
+def test_verify_output_is_pinned_and_independent_of_jobs(capsys, n, q):
+    argv = ("verify", "--n", n, "--q", q)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["checked"], c.get("expected_offsets", c.get("cross_checked")),
+             c["passed"]) for c in checks] == VERIFY_CHECKS[n, q]
+    text = run(capsys, *argv)
+    assert text[0] == EXIT_OK and text[1].endswith("result: PASS\n")
+    for jobs in ("1", "2", "3"):
+        # the JSON echoes --jobs in its params and is otherwise the same bytes
+        assert run(capsys, *argv, "--jobs", jobs, "--format", "json") == (
+            EXIT_OK, out.replace('"jobs": 1,', f'"jobs": {jobs},'), "")
+        assert run(capsys, *argv, "--jobs", jobs) == text
+
+
 def test_verify_sampled_is_deterministic(capsys):
     args = ("verify", "--n", "10", "--q", "7", "--seed", "11", "--trials", "8")
     first = run_json(capsys, *args)
@@ -358,6 +404,27 @@ def test_unsupported_combinations(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--q", "2",
                          "--format", "csv")
     assert code == EXIT_UNSUPPORTED
+
+
+def test_unsupported_format_is_refused_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("no scan or count may start")
+
+    for name in ("verify_exhaustive", "sample_census", "count_string"):
+        monkeypatch.setattr(cli, name, no_work)
+    for argv in (["verify", "--n", "6", "--q", "3"],
+                 ["verify", "--n", "20", "--q", "2"],  # over the budget too
+                 ["verify", "--seed", "1", "--n", "4", "--q", "5"],
+                 ["count-string", "--q", "2", "--start", "0,1", "--string", "1,0"],
+                 ["count-string", "--q", "4", "--start", "0,1", "--string", "1,0"]):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (EXIT_UNSUPPORTED, "")
+        assert "--format csv is not available" in err
+    # parse errors and --jobs/--budget ranges are still checked first
+    for flags in (["--jobs", "0"], ["--budget", "0"], ["--n", "x"]):
+        code, out, err = run(capsys, "verify", "--n", "3", "--q", "2", *flags,
+                             "--format", "csv")
+        assert (code, out) == (EXIT_INVALID, "")
 
 
 def test_mismatch_exit_when_enumeration_disagrees(capsys, monkeypatch):
@@ -478,6 +545,16 @@ def test_python_dash_m_cli_module_matches_the_package():
         assert package.stdout or package.stderr
         assert (module.returncode, module.stdout, module.stderr) == \
             (package.returncode, package.stdout, package.stderr)
+
+
+def test_public_surface_resolves():
+    import toepnull
+
+    namespace = {}
+    exec("from toepnull import *", namespace)
+    assert len(set(toepnull.__all__)) == len(toepnull.__all__)
+    for name in toepnull.__all__:
+        assert namespace[name] is getattr(toepnull, name)
 
 
 def test_version_flag(capsys):

@@ -10,8 +10,10 @@ from toepnull import (
     BUDGET_ENV_VAR,
     BudgetExceededError,
     DEFAULT_BUDGET,
+    PairState,
     PrimeField,
     RankCrossCheckError,
+    RuleClass,
     ToeplitzSpec,
     XorShift64,
     brute_force_table,
@@ -27,10 +29,9 @@ from toepnull import (
     resolve_budget,
     sample_census,
     spec_index,
-    verify_structure_theorems,
-    verify_transition_rules,
+    verify_exhaustive,
 )
-from toepnull import enumeration, kernel_structure
+from toepnull import cli, enumeration, kernel_structure
 from toepnull.enumeration import MAX_JOBS, _Tally, walk
 from toepnull.toeplitz import engine
 
@@ -163,9 +164,7 @@ def test_budget_env_var_guards_scans(monkeypatch):
     with pytest.raises(BudgetExceededError):
         list(enumerate_all(4, 2))
     with pytest.raises(BudgetExceededError):
-        verify_transition_rules(4, 2)
-    with pytest.raises(BudgetExceededError):
-        verify_structure_theorems(4, 2)
+        verify_exhaustive(4, 2)
     with pytest.raises(BudgetExceededError):
         realized_nullity_strings(4, 2)
     assert brute_force_table(1, 2, budget=8).row(1) == (4, 3, 1)
@@ -212,13 +211,11 @@ def test_jobs_do_not_change_results():
     assert brute_force_table(4, 2, jobs=2).counts == serial.counts
     assert brute_force_table(4, 2, jobs=7).counts == serial.counts
 
-    rules1 = verify_transition_rules(3, 3, jobs=1)
-    rules2 = verify_transition_rules(3, 3, jobs=2)
+    rules1, s1 = verify_exhaustive(3, 3, jobs=1)
+    rules2, s2 = verify_exhaustive(3, 3, jobs=2)
     assert rules1.passed and rules2.passed
     assert rule_summary(rules1) == rule_summary(rules2)
 
-    s1 = verify_structure_theorems(3, 3, jobs=1)
-    s2 = verify_structure_theorems(3, 3, jobs=2)
     assert s1.passed and s2.passed
     assert {k: (c.checked, c.cross_checked) for k, c in s1.checks.items()} == {
         k: (c.checked, c.cross_checked) for k, c in s2.checks.items()
@@ -250,14 +247,22 @@ def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
     # the split level of q=2, n=3 holds 2^5 specs, so at most 32 ranges
     assert brute_force_table(3, 2, jobs=MAX_JOBS).counts == serial.counts
     assert _InlinePool.sizes == [32]
-    assert verify_transition_rules(3, 2, jobs=3).passed
+    assert verify_exhaustive(3, 2, jobs=3)[0].passed
     assert _InlinePool.sizes == [32, 3]
     for bad in (0, MAX_JOBS + 1, 100000, True, 2.0):
         with pytest.raises(ValueError):
             brute_force_table(3, 2, jobs=bad)
         with pytest.raises(ValueError):
-            verify_structure_theorems(3, 2, jobs=bad)
+            verify_exhaustive(3, 2, jobs=bad)
     assert _InlinePool.sizes == [32, 3]
+
+
+def test_exhaustive_verify_starts_one_pool(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    _InlinePool.sizes.clear()
+    assert cli.main(["verify", "--n", "3", "--q", "2", "--jobs", "2"]) == cli.EXIT_OK
+    assert "result: PASS" in capsys.readouterr().out
+    assert _InlinePool.sizes == [2]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -274,8 +279,7 @@ def test_first_counterexample_is_independent_of_jobs(monkeypatch):
     monkeypatch.setattr(enumeration, "transition_weights", skewed)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
     monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
-    rules = [verify_transition_rules(3, 3, jobs=jobs) for jobs in (1, 2)]
-    structure = [verify_structure_theorems(3, 3, jobs=jobs) for jobs in (1, 2)]
+    rules, structure = zip(*(verify_exhaustive(3, 3, jobs=jobs) for jobs in (1, 2)))
     assert not rules[0].passed and rules[0].counterexample is not None
     assert not structure[0].passed
     assert structure[0].checks["plateau_shift"].counterexample is not None
@@ -284,7 +288,7 @@ def test_first_counterexample_is_independent_of_jobs(monkeypatch):
 
 
 def test_rule_scan_covers_every_parent():
-    report = verify_transition_rules(3, 3)
+    report, _ = verify_exhaustive(3, 3)
     assert report.passed and report.mode == "exhaustive"
     # every spec of order < 3 is censused once, plus one root-distribution check
     assert report.checks["start"].checked == 1
@@ -293,13 +297,47 @@ def test_rule_scan_covers_every_parent():
 
 
 def test_structure_scan_counts_steps():
-    report = verify_structure_theorems(3, 2)
+    _, report = verify_exhaustive(3, 2)
     assert report.passed
     assert all(c.cross_checked <= c.checked for c in report.checks.values())
     assert report.checks["ascent_span"].checked > 0
     assert report.checks["plateau_shift"].checked > 0
     assert report.checks["descent_interior_zeros"].checked > 0
     assert report.checks["single_generator_ends"].checked > 0
+
+
+def step_name(prev, cur):
+    """The predicate that the step prev -> cur qualifies for, if any."""
+    if prev == 0 and cur == 1:
+        return "single_generator_ends"
+    if prev >= 1 and cur == prev + 1:
+        return "ascent_span"
+    if prev >= 1 and cur == prev:
+        return "plateau_shift"
+    if prev > cur >= 1:
+        return "descent_interior_zeros"
+    return None
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 2), (5, 1)])
+def test_one_walk_checks_each_qualifying_spec_once(q, n, jobs):
+    censuses = dict.fromkeys((cls.value for cls in RuleClass), 0)
+    steps = dict.fromkeys(("single_generator_ends", "ascent_span", "plateau_shift",
+                           "descent_interior_zeros"), 0)
+    for m in range(n + 1):
+        for spec in enumerate_all(m, q):
+            string = nullity_string(spec)
+            prev = string[-2] if m else 0
+            if m < n:
+                censuses[PairState(prev, string[-1]).rule_class.value] += 1
+            name = step_name(prev, string[-1]) if m else None
+            if name is not None:
+                steps[name] += 1
+    rules, structure = verify_exhaustive(n, q, jobs=jobs)
+    assert rules.passed and structure.passed
+    assert {name: c.checked for name, c in rules.checks.items()} == {**censuses, "start": 1}
+    assert {name: c.checked for name, c in structure.checks.items()} == steps
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +474,7 @@ def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
     errors = []
     for jobs in (1, 4):
         with pytest.raises(RankCrossCheckError) as exc:
-            verify_transition_rules(3, 5, jobs=jobs)
+            verify_exhaustive(3, 5, jobs=jobs)
         errors.append(exc.value.args)
     assert errors[0] == errors[1] and errors[0][:4] == (2, 256, 4, 4)
 
