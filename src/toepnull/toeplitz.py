@@ -7,7 +7,8 @@ of the (n+1) x (n+1) matrix is ``a[j-i]`` on or above the diagonal and
 ``a`` and ``b``, which embeds the old matrix in the top-left corner of
 the new one (and, by constant diagonals, in the bottom-right corner
 too).  The nullity string of a spec lists the kernel dimension of every
-embedded prefix, each computed by its own elimination.
+embedded prefix; one elimination, bordered by a row and a column per
+order, gives all of them.
 
 Two elimination engines implement the same exact arithmetic, each
 building an echelon form row by row in a dict keyed by pivot column:
@@ -27,6 +28,7 @@ plain tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import FieldElement, PrimeField, element_value
@@ -191,6 +193,13 @@ def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
     return basis
 
 
+def _subtract(u: List[int], f: int, v: List[int], q: int) -> None:
+    """u -= f v modulo q, in place; a row's entries past its end are 0."""
+    if len(u) < len(v):
+        u.extend([0] * (len(v) - len(u)))
+    u[:len(v)] = [(x - f * y) % q for x, y in zip(u, v)]
+
+
 def _directions(r0: List[int], r1: List[int], q: int) -> List[Optional[Vector]]:
     """For d = 0..q-1 the vector r0 + d (r1 - r0) scaled to leading entry
     1, or None when it is 0; two vectors are dependent exactly when
@@ -264,6 +273,47 @@ class _PackedGF2:
         return kids, [free - (h > 0) - (l > 0) + (h == l > 0)
                       for h in (h0, h1) for l in (l0, l1)]
 
+    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
+        piv: dict = {}  # lowest set bit -> reduced row of E, as in _gf2_pivots
+        ops: dict = {}  # lowest set bit -> its row of U, bit i for row i of T
+        zeros: List[int] = []  # rows of U whose row of E is 0
+        col = row = 0  # column m above the diagonal, row m left of it
+        out = []
+        for m in range(len(a)):
+            if m:
+                col, row = col << 1 | a[m], row << 1 | b[m - 1]
+            new = 1 << m
+            # the new column: row i of E gains U_i . col
+            for low, u in ops.items():
+                if (u & col).bit_count() & 1:
+                    piv[low] |= new
+            # the first zero row that gains a 1 there becomes its pivot,
+            # and is added to every other one that does
+            keep, rest = None, []
+            for u in zeros:
+                if (u & col).bit_count() & 1:
+                    if keep is None:
+                        keep = ops[new] = u
+                        piv[new] = new
+                        continue
+                    u ^= keep
+                rest.append(u)
+            zeros = rest
+            # the new row, with U row e_m, reduced by the pivots
+            e, u = row | a[0] << m, new
+            while e:
+                low = e & -e
+                p = piv.get(low)
+                if p is None:
+                    piv[low], ops[low] = e, u
+                    break
+                e ^= p
+                u ^= ops[low]
+            else:
+                zeros.append(u)
+            out.append(len(zeros))
+        return tuple(out)
+
     def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
         return kernel  # an appended zero sets no bit
 
@@ -314,6 +364,48 @@ class _DenseGFq:
         return kids, [len(free) - (h is not None) - (l is not None) + (h is not None and h == l)
                       for h in hs for l in ls]
 
+    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
+        q = self.q
+        # pivot column -> (row of E, row of U), in the order _gfq_residual
+        # takes them; a row of U may be short, its missing entries are 0
+        piv: dict = {}
+        zeros: List[List[int]] = []  # rows of U whose row of E is 0
+        out = []
+        for m in range(len(a)):
+            col = a[m:0:-1]  # column m above the diagonal
+            # the new column: row i of E gains U_i . col
+            for e, u in piv.values():
+                e.append(sum(map(mul, u, col)) % q)
+            # the first zero row that gains a nonzero entry there, scaled
+            # to 1, becomes its pivot and clears it from the other ones
+            keep, rest = None, []
+            for u in zeros:
+                f = sum(map(mul, u, col)) % q
+                if f:
+                    if keep is None:
+                        inv = pow(f, q - 2, q)
+                        keep = [x * inv % q for x in u]
+                        piv[m] = [0] * m + [1], keep
+                        continue
+                    _subtract(u, f, keep, q)
+                rest.append(u)
+            zeros = rest
+            # the new row, with U row e_m, reduced by the pivots
+            e, u = [*b[:m][::-1], a[0]], [0] * m + [1]
+            for p, (erow, urow) in piv.items():
+                f = e[p]
+                if f:
+                    e = [(x - f * y) % q for x, y in zip(e, erow)]
+                    _subtract(u, f, urow, q)
+            c = next(filter(e.__getitem__, range(m + 1)), None)
+            if c is None:
+                zeros.append(u)
+            else:
+                inv = pow(e[c], q - 2, q)
+                piv[c] = [x * inv % q for x in e], [x * inv % q for x in u]
+            out.append(len(zeros))
+        return tuple(out)
+
     def omega(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
         return tuple(v + (0,) for v in kernel)
 
@@ -344,9 +436,22 @@ def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
     them: a child's rank is the shared rank plus the rank of its two
     residuals.  That is exact elimination of the child's own rows, with
     O(m) work per child; ``enumeration`` re-checks a stride of children
-    with ``rank``.  ``omega``/``sigma`` append/prepend a zero to every
-    kernel vector, ``span`` is a canonical span and ``ends`` the first
-    and last entry of a vector.
+    with ``rank``.
+
+    ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
+    the leading block of the next, from one elimination state: the
+    reduced rows E of T_m and the row operations U with E = U T_m.  To
+    go to T_{m+1} it appends U c to E, c being the new column; makes
+    the first zero row of E with a nonzero new entry that column's pivot
+    and clears the entry from the other zero rows; and reduces the new
+    row, with U row e_{m+1}, by the pivots.  The nullity is the count of
+    zero rows.  That is O(m^2) work per order, O(n^3) per string, with
+    no call to ``rows`` or ``rank``, which stay the from-scratch path
+    the tests check it against.
+
+    ``omega``/``sigma`` append/prepend a zero to every kernel vector,
+    ``span`` is a canonical span and ``ends`` the first and last entry
+    of a vector.
     """
     return _PACKED if q == 2 else _DenseGFq(q)
 
@@ -433,11 +538,8 @@ def truncate(spec: ToeplitzSpec) -> ToeplitzSpec:
 def nullity_string(spec: ToeplitzSpec) -> Vector:
     """Nullity of every embedded prefix, order 0 through order n.
 
-    Each prefix gets its own elimination; nothing is inferred from
-    neighboring prefixes.
+    One elimination state is bordered by a row and a column per order
+    (``prefix_nullities`` of :func:`engine`), at O(n^3) for the string.
+    ``rank_nullity`` of each truncated prefix is its from-scratch check.
     """
-    eng = engine(spec.field.q)
-    return tuple(
-        m + 1 - eng.rank(eng.rows(spec.a[: m + 1], spec.b[:m]))
-        for m in range(spec.order + 1)
-    )
+    return engine(spec.field.q).prefix_nullities(spec.a, spec.b)

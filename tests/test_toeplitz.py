@@ -15,7 +15,9 @@ from toepnull import (
     nullity_string,
     rank_nullity,
     truncate,
+    validate_nullity_string,
 )
+from toepnull import toeplitz
 from toepnull.toeplitz import (
     canonical_vectors,
     engine,
@@ -304,6 +306,81 @@ def test_shared_children_match_from_scratch_on_random_specs(q):
         deficient += shared < m
         zero_residual += shared in (eng.rank(kid[:-1]), eng.rank(kid[1:]))
     assert deficient and zero_residual
+
+
+# ---------------------------------------------------------------------------
+# the bordered nullity string against from-scratch elimination
+
+
+def scratch_nullity_string(spec):
+    """``rank_nullity`` of every prefix of ``spec``, each eliminated from
+    scratch."""
+    return tuple(rank_nullity(ToeplitzSpec(field=spec.field, a=spec.a[:m + 1], b=spec.b[:m]))[1]
+                 for m in range(spec.size))
+
+
+def check_against_scratch(specs):
+    """Compare each string with the oracle; return the largest nullity
+    seen and the largest nullity that a step down left."""
+    peak = dropped_from = 0
+    for spec in specs:
+        values = nullity_string(spec)
+        assert values == scratch_nullity_string(spec)
+        peak = max(peak, *values)
+        dropped_from = max([dropped_from] + [x for x, y in zip(values, values[1:]) if y < x])
+    return peak, dropped_from
+
+
+@pytest.mark.parametrize("q, m_max", [(2, 6), (3, 3), (5, 2), (7, 2)])
+def test_bordered_nullities_match_from_scratch_exhaustively(q, m_max):
+    specs = (spec for m in range(m_max + 1) for spec in all_specs(m, q))
+    peak, dropped_from = check_against_scratch(specs)
+    # several zero rows at once, and one of several kept as a new pivot
+    assert peak >= 3 and dropped_from >= 2
+
+
+def zero_prefix_digits(rng, q, m):
+    """Digits whose a and b both start with zeros, so the first sections
+    are zero matrices of growing nullity."""
+    k = rng.randrange(3, m + 2)
+    a = (0,) * k + tuple(rng.randrange(q) for _ in range(m + 1 - k))
+    b = (0,) * (k - 1) + tuple(rng.randrange(q) for _ in range(m + 1 - k))
+    return a, b
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_bordered_nullities_match_from_scratch_on_random_specs(q):
+    rng = random.Random(4000 + q)
+    fld = PrimeField(q)
+    specs = []
+    for _ in range(40):
+        m = rng.randrange(2, 61)
+        digits = zero_prefix_digits if rng.random() < 0.25 else random_digits
+        a, b = digits(rng, q, m)
+        specs.append(ToeplitzSpec(field=fld, a=a, b=b))
+    peak, dropped_from = check_against_scratch(specs)
+    assert peak >= 3 and dropped_from >= 2
+
+
+def test_long_strings_need_no_from_scratch_elimination(monkeypatch):
+    rng = random.Random(5000)
+    specs = []
+    for q, n in ((2, 400), (3, 200), (13, 120), (2, 40), (5, 30), (13, 30)):
+        a, b = (zero_prefix_digits if n < 100 else random_digits)(rng, q, n)
+        specs.append(ToeplitzSpec(field=PrimeField(q), a=a, b=b))
+
+    def refuse(*args):
+        raise AssertionError("from-scratch elimination in nullity_string")
+
+    for name in ("gf2_rank", "gfq_rank", "gf2_pack_rows", "gfq_rows"):
+        monkeypatch.setattr(toeplitz, name, refuse)
+    strings = [nullity_string(spec) for spec in specs]
+    monkeypatch.undo()
+    for spec, values in zip(specs, strings):
+        assert len(values) == spec.size and validate_nullity_string(values)
+        assert values[-1] == rank_nullity(spec)[1]
+        if spec.order < 100:
+            assert values == scratch_nullity_string(spec)
 
 
 # ---------------------------------------------------------------------------
