@@ -34,6 +34,8 @@ from toepnull import cli, enumeration, kernel_structure
 from toepnull.enumeration import MAX_JOBS, _Tally, walk
 from toepnull.toeplitz import engine
 
+from prefix_oracle import scratch_nullity_string
+
 F2 = PrimeField(2)
 
 
@@ -65,13 +67,6 @@ def test_enumerate_rejects_bad_parameters():
 
 # ---------------------------------------------------------------------------
 # the walker against the slow path
-
-
-def scratch_nullity_string(spec):
-    """``rank_nullity`` of every prefix of ``spec``, each eliminated from
-    scratch: the walker's oracle stays off the bordered ``nullity_string``."""
-    return tuple(rank_nullity(ToeplitzSpec(field=spec.field, a=spec.a[:m + 1], b=spec.b[:m]))[1]
-                 for m in range(spec.size))
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (1, 5)])

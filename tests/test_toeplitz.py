@@ -32,6 +32,8 @@ from toepnull.toeplitz import (
     unpack_bits,
 )
 
+from prefix_oracle import scratch_nullity_string
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 
@@ -310,13 +312,6 @@ def test_shared_children_match_from_scratch_on_random_specs(q):
 
 # ---------------------------------------------------------------------------
 # the bordered nullity string against from-scratch elimination
-
-
-def scratch_nullity_string(spec):
-    """``rank_nullity`` of every prefix of ``spec``, each eliminated from
-    scratch."""
-    return tuple(rank_nullity(ToeplitzSpec(field=spec.field, a=spec.a[:m + 1], b=spec.b[:m]))[1]
-                 for m in range(spec.size))
 
 
 def check_against_scratch(specs):
