@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from toepnull import __version__, cli, count_table, toeplitz
+from toepnull import __version__, cli, count_table, enumeration, kernel_structure, toeplitz
 from toepnull.counting import CountTable, PairState, count_string
 from toepnull.cli import (
     EXIT_BUDGET,
@@ -307,6 +307,127 @@ def test_verify_sampled_is_deterministic(capsys):
     assert first == second
     assert first[0] == EXIT_OK
     assert first[1]["results"]["mode"] == "sampled"
+
+
+# ---------------------------------------------------------------------------
+# failing verify runs: the whole report is pinned
+
+
+def inject_verify_faults(monkeypatch, *, rules):
+    """Make the public plateau predicate disagree with the scan on runs of
+    more than three orders, replayed at every fifth spec; with ``rules``,
+    also expect one child too many at the top offset of an ascending
+    census."""
+    real = enumeration.transition_weights
+
+    def skewed(state, q):
+        weights = real(state, q)
+        if state.rule_class.value != "ascending":
+            return weights
+        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
+
+    if rules:
+        monkeypatch.setattr(enumeration, "transition_weights", skewed)
+    monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
+    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
+
+
+ASCENDING_DETAIL = "census {0: 4, 1: 4, 2: 1} != expected {0: 4, 1: 4, 2: 2}"
+ASCENDING_CEX = {"order": 0, "a": [0], "b": [], "index": 0, "detail": ASCENDING_DETAIL}
+PLATEAU_CEX = {"order": 2, "a": [0, 0, 0], "b": [1, 1], "index": 10,
+               "detail": "plateau_shift: predicate (False) disagrees with scan (True)"}
+
+
+def check_payload(name, passed, checked, extra, cex):
+    key = "expected_offsets" if name.startswith("rule:") else "cross_checked"
+    return {"name": name, "passed": passed, "checked": checked, key: extra,
+            "counterexample": cex}
+
+
+def failing_verify_checks(rules):
+    """(name, passed, checked, expected_offsets or cross_checked,
+    counterexample) of every check of the faulty q=3 n=3 scan."""
+    top = 2 if rules else 1
+    return [check_payload(*row) for row in [
+        ("rule:ascending", not rules, 51, {"-1": 4, "0": 4, "1": top},
+         ASCENDING_CEX if rules else None),
+        ("rule:descending", True, 4, {"-1": 9}, None),
+        ("rule:one_zero", True, 44, {"0": 6, "1": 3}, None),
+        ("rule:plateau", True, 36, {"-1": 6, "0": 3}, None),
+        ("rule:start", True, 1, {"0": 2, "1": 1}, None),
+        ("rule:zero_zero", True, 138, {"0": 7, "1": 2}, None),
+        ("structure:ascent_span", True, 51, 10, None),
+        ("structure:descent_interior_zeros", True, 48, 8, None),
+        ("structure:plateau_shift", False, 312, 66, PLATEAU_CEX),
+        ("structure:single_generator_ends", True, 408, 79, None),
+    ]]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected faults")
+@pytest.mark.parametrize("rules", (True, False))
+def test_failing_verify_output_is_pinned_at_any_jobs(capsys, monkeypatch, rules):
+    inject_verify_faults(monkeypatch, rules=rules)
+    argv = ("verify", "--n", "3", "--q", "3")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    cex = ASCENDING_CEX if rules else PLATEAU_CEX
+    assert json.loads(out) == {
+        "tool_version": __version__, "command": "verify",
+        "params": {"n": 3, "q": 3, "jobs": 1, "budget": None, "seed": None, "trials": None},
+        "results": {"mode": "exhaustive", "q": 3, "n": 3, "rules_passed": not rules,
+                    "structure_passed": False, "passed": False, "counterexample": cex},
+        "checks": failing_verify_checks(rules),
+    }
+    # failures are not printed; the report carries them
+    failures = {name: c.failures for rep in cli.verify_exhaustive(3, 3)
+                for name, c in rep.checks.items() if c.failures}
+    assert failures == ({"ascending": 51, "plateau_shift": 60} if rules
+                        else {"plateau_shift": 60})
+    lines = [f"[{'ok' if c['passed'] else 'FAIL':>4}] {c['name']} checked={c['checked']}"
+             for c in failing_verify_checks(rules)]
+    text = "\n".join(["exhaustive verification: n=3 q=3", *lines,
+                      f"counterexample: order={cex['order']} index={cex['index']} "
+                      f"a={cex['a']} b={cex['b']}: {cex['detail']}", "result: FAIL\n"])
+    assert run(capsys, *argv) == (EXIT_MISMATCH, text, "")
+    assert run(capsys, *argv, "--jobs", "2", "--format", "json") == (
+        EXIT_MISMATCH, out.replace('"jobs": 1,', '"jobs": 2,'), "")
+    assert run(capsys, *argv, "--jobs", "2") == (EXIT_MISMATCH, text, "")
+
+
+def test_failing_sampled_verify_output_is_pinned(capsys, monkeypatch):
+    inject_verify_faults(monkeypatch, rules=True)
+    argv = ("verify", "--n", "6", "--q", "3", "--seed", "4", "--trials", "40")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    cex = {"order": 6, "a": [0, 0, 0, 1, 1, 2, 1], "b": [2, 1, 1, 0, 0, 1],
+           "index": 127876, "detail": ASCENDING_DETAIL}
+    assert json.loads(out) == {
+        "tool_version": __version__, "command": "verify",
+        "params": {"n": 6, "q": 3, "jobs": 1, "budget": None, "seed": 4, "trials": 40},
+        "results": {"mode": "sampled", "q": 3, "n": 6, "trials": 40, "seed": 4,
+                    "passed": False, "counterexample": cex},
+        "checks": [check_payload(*row) for row in [
+            ("rule:ascending", False, 7, {"-1": 4, "0": 4, "1": 2}, cex),
+            ("rule:descending", True, 0, {"-1": 9}, None),
+            ("rule:one_zero", True, 4, {"0": 6, "1": 3}, None),
+            ("rule:plateau", True, 2, {"-1": 6, "0": 3}, None),
+            ("rule:zero_zero", True, 27, {"0": 7, "1": 2}, None),
+        ]],
+    }
+    report = cli.sample_census(6, 3, 40, 4)
+    assert {name: c.failures for name, c in report.checks.items()} == {
+        "ascending": 7, "descending": 0, "one_zero": 0, "plateau": 0, "zero_zero": 0}
+    assert run(capsys, *argv) == (EXIT_MISMATCH, "\n".join([
+        "sampled census check: n=6 q=3 trials=40 seed=4",
+        "[FAIL] rule:ascending checked=7",
+        "[  ok] rule:descending checked=0",
+        "[  ok] rule:one_zero checked=4",
+        "[  ok] rule:plateau checked=2",
+        "[  ok] rule:zero_zero checked=27",
+        "counterexample: order=6 index=127876 a=[0, 0, 0, 1, 1, 2, 1] "
+        "b=[2, 1, 1, 0, 0, 1]: " + ASCENDING_DETAIL,
+        "result: FAIL\n"]), "")
 
 
 def test_count_string_flags(capsys):
