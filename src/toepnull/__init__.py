@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 
 from .field import (
     DEFAULT_MAX_Q,
-    FieldElement,
-    FieldMismatchError,
     PrimeField,
     is_prime,
 )
@@ -65,13 +63,11 @@ from .enumeration import (
     BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     BudgetExceededError,
+    Check,
     Counterexample,
     ExtensionCensus,
-    PredicateCheck,
     RankCrossCheckError,
-    RuleCheck,
-    RuleReport,
-    StructureReport,
+    Report,
     XorShift64,
     brute_force_table,
     brute_force_theta_eta,
@@ -87,7 +83,7 @@ from .enumeration import (
 __all__ = [
     "__version__",
     # field
-    "DEFAULT_MAX_Q", "FieldElement", "FieldMismatchError", "PrimeField", "is_prime",
+    "DEFAULT_MAX_Q", "PrimeField", "is_prime",
     # toeplitz
     "KernelBasis", "ToeplitzSpec", "canonical_vectors", "extend", "kernel_basis",
     "nullity_string", "rank_nullity", "truncate",
@@ -103,9 +99,8 @@ __all__ = [
     "positive_string_counts", "rank_spectrum", "state_distribution", "theta_eta",
     "transition_weights",
     # enumeration
-    "BUDGET_ENV_VAR", "DEFAULT_BUDGET", "BudgetExceededError", "Counterexample",
-    "ExtensionCensus", "PredicateCheck", "RankCrossCheckError", "RuleCheck",
-    "RuleReport", "StructureReport", "XorShift64", "brute_force_table",
+    "BUDGET_ENV_VAR", "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
+    "ExtensionCensus", "RankCrossCheckError", "Report", "XorShift64", "brute_force_table",
     "brute_force_theta_eta", "enumerate_all", "extension_census",
     "realized_nullity_strings", "resolve_budget", "sample_census", "spec_index",
     "verify_exhaustive",

@@ -43,7 +43,7 @@ import csv
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .counting import (
@@ -63,8 +63,7 @@ from .enumeration import (
     MAX_JOBS,
     BudgetExceededError,
     RankCrossCheckError,
-    RuleReport,
-    StructureReport,
+    Report,
     brute_force_table,
     sample_census,
     verify_exhaustive,
@@ -166,14 +165,14 @@ def _cex_payload(cex) -> Optional[Dict]:
             "index": cex.index, "detail": cex.detail}
 
 
-def _checks_payload(report: Union[RuleReport, StructureReport]) -> List[Dict]:
-    rules = isinstance(report, RuleReport)
+def _checks_payload(report: Report) -> List[Dict]:
+    """Census rules show their expected census, predicates their cross-checks."""
     return [{
-        "name": f"{'rule' if rules else 'structure'}:{name}",
+        "name": f"{'structure' if chk.expected_offsets is None else 'rule'}:{name}",
         "passed": chk.failures == 0,
         "checked": chk.checked,
-        **({"expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())}}
-           if rules else {"cross_checked": chk.cross_checked}),
+        **({"cross_checked": chk.cross_checked} if chk.expected_offsets is None else
+           {"expected_offsets": {str(k): v for k, v in sorted(chk.expected_offsets.items())}}),
         "counterexample": _cex_payload(chk.counterexample),
     } for name, chk in sorted(report.checks.items())]
 
@@ -214,13 +213,15 @@ def _check_scan_flags(cfg: argparse.Namespace) -> None:
 def _cmd_table(cfg: argparse.Namespace):
     if cfg.nullity is not None and cfg.nullity < 0:
         raise ValueError("--nullity must be nonnegative")
+    # enumeration first: an over-budget scan is refused before the DP runs
+    brute = (brute_force_table(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
+             if cfg.check_brute_force else None)
     table = count_table(cfg.n, cfg.q)
     params = {"n": cfg.n, "q": cfg.q, "nullity": cfg.nullity, "jobs": cfg.jobs,
               "budget": cfg.budget, "check_brute_force": cfg.check_brute_force}
     checks: List[Dict] = []
     code = EXIT_OK
-    if cfg.check_brute_force:
-        brute = brute_force_table(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
+    if brute is not None:
         passed = brute.counts == table.counts
         check = {"name": "model_vs_enumeration", "passed": passed}
         if not passed:
@@ -242,6 +243,8 @@ def _cmd_table(cfg: argparse.Namespace):
 
 
 def _cmd_spectrum(cfg: argparse.Namespace):
+    brute = (brute_force_table(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
+             if cfg.check_brute_force else None)
     spectrum = rank_spectrum(cfg.n, cfg.q)
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "check_brute_force": cfg.check_brute_force}
@@ -256,8 +259,7 @@ def _cmd_spectrum(cfg: argparse.Namespace):
             check["detail"] = f"ranks disagreeing with the closed forms: {bad}"
             code = EXIT_MISMATCH
         checks.append(check)
-    if cfg.check_brute_force:
-        brute = brute_force_table(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
+    if brute is not None:
         expected = {cfg.n + 1 - nu: c for nu, c in enumerate(brute.row(cfg.n))}
         passed = expected == dict(spectrum)
         check = {"name": "model_vs_enumeration", "passed": passed}
@@ -282,13 +284,11 @@ def _cmd_verify(cfg: argparse.Namespace):
     else:
         rules, structure = verify_exhaustive(cfg.n, cfg.q, budget=cfg.budget, jobs=cfg.jobs)
         checks = _checks_payload(rules) + _checks_payload(structure)
-        worst = rules.counterexample or min(
-            (c.counterexample for c in structure.checks.values() if c.counterexample),
-            key=lambda c: c.sort_key, default=None)
         results = {"mode": "exhaustive", "q": cfg.q, "n": cfg.n,
                    "rules_passed": rules.passed, "structure_passed": structure.passed,
                    "passed": rules.passed and structure.passed,
-                   "counterexample": _cex_payload(worst)}
+                   "counterexample": _cex_payload(rules.counterexample
+                                                  or structure.counterexample)}
     return params, results, checks, EXIT_OK if results["passed"] else EXIT_MISMATCH
 
 

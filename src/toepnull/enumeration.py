@@ -64,11 +64,19 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, required: int, budget: int) -> None:
         super().__init__(
-            f"scan needs a budget of {required} matrices at its deepest level, "
-            f"cap is {budget}; raise the cap explicitly to proceed"
+            f"scan needs a budget of {_decimal(required)} matrices at its deepest level, "
+            f"cap is {_decimal(budget)}; raise the cap explicitly to proceed"
         )
         self.required = required
         self.budget = budget
+
+
+def _decimal(count: int) -> str:
+    """``count`` in decimal, or past the digits str(int) allows as a power of two."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
 
 
 class RankCrossCheckError(RuntimeError):
@@ -324,7 +332,7 @@ def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# tallies and rule reports
+# checks, tallies and reports
 
 
 @dataclass(frozen=True)
@@ -342,32 +350,76 @@ class Counterexample:
         return (self.order, self.index)
 
 
-class _Tally(dict):
-    """Scan-side tallies by check name, each
-    ``[checked, cross_checked, failures, first counterexample]``.
+@dataclass(slots=True)
+class Check:
+    """One rule or predicate over a scan, with the failing spec first in
+    (order, lex index); a census rule also keeps its expected census."""
 
-    Plain picklable data, so workers return it as it is; ``merge`` is
-    associative and keeps the counterexample first in (order, lex index).
-    """
+    name: str
+    checked: int = 0
+    cross_checked: int = 0
+    failures: int = 0
+    counterexample: Optional[Counterexample] = None
+    expected_offsets: Optional[Dict[int, int]] = None
+
+    def merge(self, other: "Check") -> None:
+        self.checked += other.checked
+        self.cross_checked += other.cross_checked
+        self.failures += other.failures
+        self.counterexample = min(filter(None, (self.counterexample, other.counterexample)),
+                                  key=lambda c: c.sort_key, default=None)
+
+
+@dataclass
+class Report:
+    """The checks of one kind over one scan, by name."""
+
+    q: int
+    n_max: int
+    mode: str
+    checks: Dict[str, Check]
+    trials: Optional[int] = None
+    seed: Optional[int] = None
+
+    @property
+    def passed(self) -> bool:
+        return all(c.failures == 0 for c in self.checks.values())
+
+    @property
+    def counterexample(self) -> Optional[Counterexample]:
+        return min((c.counterexample for c in self.checks.values() if c.counterexample),
+                   key=lambda c: c.sort_key, default=None)
+
+
+class _Tally(dict):
+    """Scan-side :class:`Check` objects by name, made empty on first use.
+    Picklable, so workers return it as it is; ``merge`` is associative."""
 
     def __init__(self, q: int) -> None:
         super().__init__()
         self.q = q
         self.expected: Dict[Tuple[int, int], Tuple[str, Dict[int, int]]] = {}
 
+    def __missing__(self, name: str) -> Check:
+        check = self[name] = Check(name)
+        return check
+
     def record(self, name: str, ok: bool, m: int, index: int, detail: str,
-               column: int = 0) -> None:
-        """Count one check of the order-m spec at ``index`` (``column`` 1
-        counts a cross-check); ``detail`` says what failed when not ``ok``."""
-        tally = self.get(name)
-        if tally is None:
-            tally = self[name] = [0, 0, 0, None]
-        tally[column] += 1
+               cross: bool = False) -> None:
+        """Count one check, or with ``cross`` one cross-check, of the
+        order-m spec at ``index``; ``detail`` says what failed when not ``ok``."""
+        check = self[name]
+        if cross:
+            check.cross_checked += 1
+        else:
+            check.checked += 1
         if not ok:
-            tally[2] += 1
-            if tally[3] is None or (m, index) < tally[3].sort_key:
+            check.failures += 1
+            cex = check.counterexample
+            if cex is None or (m, index) < cex.sort_key:
                 a, b = _index_to_ab(index, m, self.q)
-                tally[3] = Counterexample(order=m, a=a, b=b, index=index, detail=detail)
+                check.counterexample = Counterexample(order=m, a=a, b=b, index=index,
+                                                      detail=detail)
 
     def census(self, prev_nu: int, nu: int, child_nus: Sequence[int], m: int,
                index: int) -> None:
@@ -387,38 +439,8 @@ class _Tally(dict):
                     f"{dict(sorted(expected.items()))}")
 
     def merge(self, part: "_Tally") -> None:
-        for name, (checked, crossed, failures, cex) in part.items():
-            tally = self.setdefault(name, [0, 0, 0, None])
-            tally[0] += checked
-            tally[1] += crossed
-            tally[2] += failures
-            if cex is not None and (tally[3] is None or cex.sort_key < tally[3].sort_key):
-                tally[3] = cex
-
-
-@dataclass
-class RuleCheck:
-    """Tally for one pair class: expected census (keyed by nullity step)."""
-
-    rule: str
-    expected_offsets: Dict[int, int]
-    checked: int = 0
-    failures: int = 0
-    counterexample: Optional[Counterexample] = None
-
-
-@dataclass
-class RuleReport:
-    """Outcome of checking extension censuses against the weight model."""
-
-    q: int
-    n_max: int
-    mode: str
-    checks: Dict[str, RuleCheck]
-    passed: bool
-    counterexample: Optional[Counterexample] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
+        for name, check in part.items():
+            self[name].merge(check)
 
 
 _REPRESENTATIVE = {
@@ -432,29 +454,13 @@ _REPRESENTATIVE = {
 START_RULE = "start"
 
 
-def _expected_offsets(cls: RuleClass, q: int) -> Dict[int, int]:
-    state = _REPRESENTATIVE[cls]
-    return {value - state.cur: w for value, w in transition_weights(state, q)}
-
-
-def _rule_report(tally: _Tally, n_max: int, mode: str, start: Optional[RuleCheck] = None,
-                 trials: Optional[int] = None, seed: Optional[int] = None) -> RuleReport:
-    """One RuleCheck per pair class from the tallies, plus the ``start`` check."""
-    checks: Dict[str, RuleCheck] = {}
-    for cls in RuleClass:
-        checked, _, failures, cex = tally.get(cls.value, (0, 0, 0, None))
-        checks[cls.value] = RuleCheck(
-            rule=cls.value, expected_offsets=_expected_offsets(cls, tally.q),
-            checked=checked, failures=failures, counterexample=cex)
-    if start is not None:
-        checks[START_RULE] = start
-    failures = [c.counterexample for c in checks.values() if c.counterexample]
-    return RuleReport(
-        q=tally.q, n_max=n_max, mode=mode, checks=checks,
-        passed=all(c.failures == 0 for c in checks.values()),
-        counterexample=min(failures, key=lambda c: c.sort_key, default=None),
-        trials=trials, seed=seed,
-    )
+def _rule_report(tally: _Tally, n_max: int, mode: str, **sampled) -> Report:
+    """One check per pair class, each with its expected census."""
+    for cls, state in _REPRESENTATIVE.items():
+        tally[cls.value].expected_offsets = {
+            value - state.cur: w for value, w in transition_weights(state, tally.q)}
+    return Report(tally.q, n_max, mode, {cls.value: tally[cls.value] for cls in RuleClass},
+                  **sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ class XorShift64:
                 return word % bound
 
 
-def sample_census(n: int, q: int, trials: int, seed: int) -> RuleReport:
+def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
     """Spot-check the weight model on random order-n specs.
 
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
@@ -530,27 +536,6 @@ def realized_nullity_strings(n_max: int, q: int, *,
 # exhaustive verification: rule censuses and kernel predicates in one walk
 
 
-@dataclass
-class PredicateCheck:
-    """Tally for one structural predicate over an exhaustive scan."""
-
-    name: str
-    checked: int = 0
-    cross_checked: int = 0
-    failures: int = 0
-    counterexample: Optional[Counterexample] = None
-
-
-@dataclass
-class StructureReport:
-    """Outcome of checking kernel-structure predicates exhaustively."""
-
-    q: int
-    n_max: int
-    checks: Dict[str, PredicateCheck]
-    passed: bool
-
-
 ENDS = "single_generator_ends"
 ASCENT = "ascent_span"
 PLATEAU_RUN = "plateau_shift"
@@ -572,7 +557,7 @@ def _cross_check(tally: _Tally, name: str, ok: bool, m: int, index: int,
     else:
         ok_pub = kernel_structure.check_ascent_span(*run)
     tally.record(name, ok_pub == ok, m, index,
-                 f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})", column=1)
+                 f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})", cross=True)
 
 
 def _verify_scan(args: tuple) -> _Tally:
@@ -630,7 +615,7 @@ def _verify_scan(args: tuple) -> _Tally:
 
 
 def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
-                      jobs: int = 1) -> Tuple[RuleReport, StructureReport]:
+                      jobs: int = 1) -> Tuple[Report, Report]:
     """Rule and structure reports for every spec of order <= n_max, from
     one walk.
 
@@ -649,15 +634,13 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
     # the order-0 start: census of the first nullity over the q diagonal digits
     eng = engine(q)
     start_census = dict(Counter(1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)))
-    start = RuleCheck(rule=START_RULE, expected_offsets={0: q - 1, 1: 1}, checked=1)
+    start = Check(START_RULE, checked=1, expected_offsets={0: q - 1, 1: 1})
     if start_census != start.expected_offsets:
         start.failures = 1
         start.counterexample = Counterexample(
             order=0, a=(), b=(), index=0,
             detail=f"start census {start_census} != expected {start.expected_offsets}")
-    # a tally is laid out as the fields of PredicateCheck after the name
-    checks = {name: PredicateCheck(name, *tally.get(name, (0, 0, 0, None)))
-              for name in sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))}
-    structure = StructureReport(q=q, n_max=n_max, checks=checks,
-                                passed=all(c.failures == 0 for c in checks.values()))
-    return _rule_report(tally, n_max, "exhaustive", start), structure
+    rules = _rule_report(tally, n_max, "exhaustive")
+    rules.checks[START_RULE] = start
+    names = sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))
+    return rules, Report(q, n_max, "exhaustive", {name: tally[name] for name in names})

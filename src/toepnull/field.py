@@ -1,8 +1,7 @@
 """Prime fields GF(q) and their digits.
 
-Field elements carry a reference to their field, so digits from
-different moduli cannot be mixed silently: :func:`element_value`
-raises :class:`FieldMismatchError` instead of producing garbage.
+A digit is a plain ``int`` in [0, q); :func:`element_value` rejects
+anything else instead of reducing it silently.
 
 The modulus is capped (default 13).  Everything downstream of this
 module leans on exhaustive verification over all of GF(q)^k, and a
@@ -13,13 +12,8 @@ doing can lift the cap per field with ``max_q``.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass
-from typing import Union
 
 DEFAULT_MAX_Q = 13
-
-
-class FieldMismatchError(ValueError):
-    """Two operands belong to different prime fields."""
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -78,40 +72,11 @@ class PrimeField:
                 "pass max_q to allow it"
             )
 
-    def element(self, value: int) -> "FieldElement":
-        """The element congruent to ``value``, reduced into [0, q)."""
-        return FieldElement(self, value % self.q)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, q) tied to its field."""
-
-    field: PrimeField
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise ValueError(f"element value must be an integer, got {self.value!r}")
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"element value {self.value} outside [0, {self.field.q})")
-
-
-def element_value(field: PrimeField, x: Union[FieldElement, int]) -> int:
-    """Raw integer value of ``x`` as a member of ``field``.
-
-    Accepts a FieldElement (checked against ``field``) or a bare integer
-    already reduced into [0, q).  Used wherever compact integer storage
-    meets the element-level API.
-    """
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise FieldMismatchError(
-                f"element of GF({x.field.q}) used where GF({field.q}) is required"
-            )
-        return x.value
+def element_value(field: PrimeField, x: int) -> int:
+    """``x`` as a digit of ``field``: an int, not a bool, already in [0, q)."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected a field element or integer, got {x!r}")
+        raise ValueError(f"expected an integer digit, got {x!r}")
     if not 0 <= x < field.q:
         raise ValueError(f"value {x} outside [0, {field.q})")
     return x

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .field import FieldElement, PrimeField, element_value
+from .field import PrimeField, element_value
 
 Vector = Tuple[int, ...]
-Digit = Union[FieldElement, int]
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +518,9 @@ def kernel_basis(spec: ToeplitzSpec) -> KernelBasis:
                        vectors=eng.vectors(kernel, spec.size))
 
 
-def extend(spec: ToeplitzSpec, b_new: Digit, a_new: Digit) -> ToeplitzSpec:
+def extend(spec: ToeplitzSpec, b_new: int, a_new: int) -> ToeplitzSpec:
     """One-step embedding: append ``a_new`` to the row, ``b_new`` to the column."""
-    return ToeplitzSpec(
-        field=spec.field,
-        a=spec.a + (element_value(spec.field, a_new),),
-        b=spec.b + (element_value(spec.field, b_new),),
-    )
+    return ToeplitzSpec(field=spec.field, a=spec.a + (a_new,), b=spec.b + (b_new,))
 
 
 def truncate(spec: ToeplitzSpec) -> ToeplitzSpec:

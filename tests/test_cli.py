@@ -519,6 +519,29 @@ def test_budget_exit(capsys):
     assert run(capsys, "table", "--n", "15", "--q", "2")[0] == EXIT_OK
 
 
+def test_huge_orders_exit_on_the_budget_at_once(capsys, monkeypatch):
+    # str(int) refuses q^(2n+1) past 4300 digits; the message must not need it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--n", "8000", "--q", "2")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == ("toepnull: budget: scan needs a budget of at least 2^16001 matrices "
+                   "at its deepest level, cap is 268435456; raise the cap explicitly "
+                   "to proceed\n")
+    assert enumeration.BudgetExceededError(2 ** 16001, 1).required == 2 ** 16001
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the weight DP may not run before the budget check")
+
+    monkeypatch.setattr(cli, "count_table", no_model)
+    monkeypatch.setattr(cli, "rank_spectrum", no_model)
+    for command in ("table", "spectrum"):
+        code, out, err = run(capsys, command, "--n", "8000", "--q", "2",
+                             "--check-brute-force")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert "at least 2^16001" in err
+    assert time.perf_counter() - start < 20
+
+
 def test_unsupported_combinations(capsys):
     code, out, err = run(capsys, "closed-forms", "--n", "3", "--q", "3")
     assert code == EXIT_UNSUPPORTED and "GF(2)" in err

@@ -349,12 +349,13 @@ def test_rule_stats_flags_wrong_census():
     tally = _Tally(2)
     # the four children of a = (1,) have nullities 0, 0, 0, 1
     tally.census(0, 0, [0, 0, 0, 1], 0, 1)
-    checked, _, failures, _ = tally["zero_zero"]
-    assert (checked, failures) == (1, 0)
+    check = tally["zero_zero"]
+    assert (check.checked, check.failures) == (1, 0)
     # a fabricated census for the order-1 spec a = (1, 0), b = (0,)
     tally.census(0, 0, [0, 0, 1, 1], 1, 4)
-    checked, _, failures, cex = tally["zero_zero"]
-    assert (checked, failures) == (2, 1)
+    check = tally["zero_zero"]
+    cex = check.counterexample
+    assert (check.checked, check.failures) == (2, 1)
     assert cex is not None and cex.order == 1 and cex.a == (1, 0)
     # the recorded spec can be rebuilt and re-measured independently,
     # exposing the fabricated census
@@ -366,12 +367,13 @@ def test_rule_stats_keeps_smallest_counterexample():
     tally = _Tally(2)
     tally.census(0, 0, [0] * 9, 1, 7)
     tally.census(0, 0, [0] * 9, 0, 0)
-    assert tally["zero_zero"][3].sort_key == (0, 0)
+    assert tally["zero_zero"].counterexample.sort_key == (0, 0)
     # merging keeps the smallest too, whichever side holds it
     other = _Tally(2)
     other.census(0, 0, [0] * 9, 1, 7)
     other.merge(tally)
-    assert other["zero_zero"][2:] == [3, tally["zero_zero"][3]]
+    merged = other["zero_zero"]
+    assert [merged.failures, merged.counterexample] == [3, tally["zero_zero"].counterexample]
 
 
 # ---------------------------------------------------------------------------

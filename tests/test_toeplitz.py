@@ -155,11 +155,12 @@ def test_four_distinct_extensions_mod_two():
     assert all(truncate(c) == spec for c in children)
 
 
-def test_extend_accepts_field_elements_and_rejects_mismatch():
+def test_extend_rejects_digits_outside_the_field():
     spec = ToeplitzSpec(field=F3, a=(1,), b=())
-    assert extend(spec, F3.element(2), F3.element(1)).a == (1, 1)
-    with pytest.raises(ValueError):
-        extend(spec, PrimeField(5).element(2), 1)
+    assert extend(spec, 2, 1) == ToeplitzSpec(field=F3, a=(1, 1), b=(2,))
+    for b_new, a_new in ((3, 1), (1, 3), (-1, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError):
+            extend(spec, b_new, a_new)
 
 
 # ---------------------------------------------------------------------------
