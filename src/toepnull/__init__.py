@@ -18,7 +18,6 @@ from .field import (
     is_prime,
 )
 from .toeplitz import (
-    KernelBasis,
     ToeplitzSpec,
     canonical_vectors,
     extend,
@@ -43,7 +42,6 @@ from .counting import (
     CountTable,
     PairState,
     RuleClass,
-    ThetaEta,
     closed_eta,
     closed_theta,
     count_string,
@@ -65,7 +63,6 @@ from .enumeration import (
     BudgetExceededError,
     Check,
     Counterexample,
-    ExtensionCensus,
     RankCrossCheckError,
     Report,
     XorShift64,
@@ -85,7 +82,7 @@ __all__ = [
     # field
     "DEFAULT_MAX_Q", "PrimeField", "is_prime",
     # toeplitz
-    "KernelBasis", "ToeplitzSpec", "canonical_vectors", "extend", "kernel_basis",
+    "ToeplitzSpec", "canonical_vectors", "extend", "kernel_basis",
     "nullity_string", "rank_nullity", "truncate",
     # kernel structure
     "PreconditionError", "check_ascent_span", "check_descent_interior_zeros",
@@ -93,14 +90,14 @@ __all__ = [
     "shift_omega", "shift_sigma", "validate_nullity_string",
     "validate_nullity_string_by_patterns",
     # counting
-    "CountTable", "PairState", "RuleClass", "ThetaEta", "closed_eta", "closed_theta",
+    "CountTable", "PairState", "RuleClass", "closed_eta", "closed_theta",
     "count_string", "count_table", "invertible_formula", "iter_positive_strings",
     "nullity1_structured_count", "nullity_count_closed", "positive_excursion_count",
     "positive_string_counts", "rank_spectrum", "state_distribution", "theta_eta",
     "transition_weights",
     # enumeration
     "BUDGET_ENV_VAR", "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
-    "ExtensionCensus", "RankCrossCheckError", "Report", "XorShift64", "brute_force_table",
+    "RankCrossCheckError", "Report", "XorShift64", "brute_force_table",
     "brute_force_theta_eta", "enumerate_all", "extension_census",
     "realized_nullity_strings", "resolve_budget", "sample_census", "spec_index",
     "verify_exhaustive",

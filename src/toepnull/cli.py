@@ -207,7 +207,7 @@ def _check_scan_flags(cfg: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (params, results, checks, exit code)
+# subcommands: each returns (params, results, checks)
 
 
 def _cmd_table(cfg: argparse.Namespace):
@@ -220,7 +220,6 @@ def _cmd_table(cfg: argparse.Namespace):
     params = {"n": cfg.n, "q": cfg.q, "nullity": cfg.nullity, "jobs": cfg.jobs,
               "budget": cfg.budget, "check_brute_force": cfg.check_brute_force}
     checks: List[Dict] = []
-    code = EXIT_OK
     if brute is not None:
         passed = brute.counts == table.counts
         check = {"name": "model_vs_enumeration", "passed": passed}
@@ -228,7 +227,6 @@ def _cmd_table(cfg: argparse.Namespace):
             m = next(m for m, row in enumerate(brute.counts) if row != table.counts[m])
             check["detail"] = (f"order {m}: enumeration {list(brute.counts[m])}"
                                f" != model {list(table.counts[m])}")
-            code = EXIT_MISMATCH
         checks.append(check)
     with _any_size():
         if cfg.nullity is None:
@@ -239,7 +237,7 @@ def _cmd_table(cfg: argparse.Namespace):
             results = {"q": cfg.q, "n": cfg.n, "nullity": cfg.nullity, "rows": [
                 {"m": m, "count": str(row[cfg.nullity] if cfg.nullity < len(row) else 0)}
                 for m, row in enumerate(table.counts)]}
-    return params, results, checks, code
+    return params, results, checks
 
 
 def _cmd_spectrum(cfg: argparse.Namespace):
@@ -249,7 +247,6 @@ def _cmd_spectrum(cfg: argparse.Namespace):
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "check_brute_force": cfg.check_brute_force}
     checks: List[Dict] = []
-    code = EXIT_OK
     if cfg.q == 2:
         bad = [r for r, c in spectrum.items()
                if c != nullity_count_closed(cfg.n, cfg.n + 1 - r)]
@@ -257,7 +254,6 @@ def _cmd_spectrum(cfg: argparse.Namespace):
                  "checked": len(spectrum)}
         if bad:
             check["detail"] = f"ranks disagreeing with the closed forms: {bad}"
-            code = EXIT_MISMATCH
         checks.append(check)
     if brute is not None:
         expected = {cfg.n + 1 - nu: c for nu, c in enumerate(brute.row(cfg.n))}
@@ -265,11 +261,10 @@ def _cmd_spectrum(cfg: argparse.Namespace):
         check = {"name": "model_vs_enumeration", "passed": passed}
         if not passed:
             check["detail"] = f"enumeration spectrum {expected} != model {dict(spectrum)}"
-            code = EXIT_MISMATCH
         checks.append(check)
     with _any_size():
         entries = [{"rank": r, "count": str(c)} for r, c in spectrum.items()]
-    return params, {"q": cfg.q, "n": cfg.n, "spectrum": entries}, checks, code
+    return params, {"q": cfg.q, "n": cfg.n, "spectrum": entries}, checks
 
 
 def _cmd_verify(cfg: argparse.Namespace):
@@ -289,7 +284,7 @@ def _cmd_verify(cfg: argparse.Namespace):
                    "passed": rules.passed and structure.passed,
                    "counterexample": _cex_payload(rules.counterexample
                                                   or structure.counterexample)}
-    return params, results, checks, EXIT_OK if results["passed"] else EXIT_MISMATCH
+    return params, results, checks
 
 
 def _cmd_count_string(cfg: argparse.Namespace):
@@ -300,7 +295,7 @@ def _cmd_count_string(cfg: argparse.Namespace):
     total = count_string(PairState(*start_vals), values, cfg.q)
     params = {"q": cfg.q, "start": list(start_vals), "string": list(values)}
     with _any_size():
-        return params, {"count": str(total)}, [], EXIT_OK
+        return params, {"count": str(total)}, []
 
 
 def _cmd_closed_forms(cfg: argparse.Namespace):
@@ -312,11 +307,11 @@ def _cmd_closed_forms(cfg: argparse.Namespace):
     names = "theta eta invertible nullity_counts nullity1_structured positive_excursions"
     oks: Dict[str, List[bool]] = {name: [] for name in names.split()}
     rows = []
-    for m, (counts, duo, one, exc) in enumerate(battery_rows(cfg.n), 1):
+    for m, (counts, (theta, eta), one, exc) in enumerate(battery_rows(cfg.n), 1):
         th, et = closed_theta(m), closed_eta(m)
         inv = invertible_formula(m) if m >= 2 else th + et
-        oks["theta"].append(th == duo.theta)
-        oks["eta"].append(et == duo.eta)
+        oks["theta"].append(th == theta)
+        oks["eta"].append(et == eta)
         if m >= 2:
             oks["invertible"].append(inv == counts[0])
         oks["nullity_counts"] += [nullity_count_closed(m, k) == c for k, c in enumerate(counts)]
@@ -327,8 +322,7 @@ def _cmd_closed_forms(cfg: argparse.Namespace):
                          "nullity1_structured": str(one), "positive_excursions": str(exc)})
     checks = [{"name": f"closed:{name}", "passed": all(ok), "checked": len(ok)}
               for name, ok in oks.items()]
-    code = EXIT_OK if all(c["passed"] for c in checks) else EXIT_MISMATCH
-    return {"n": cfg.n, "q": cfg.q}, {"q": 2, "n": cfg.n, "rows": rows}, checks, code
+    return {"n": cfg.n, "q": cfg.q}, {"q": 2, "n": cfg.n, "rows": rows}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cfg.format == "csv" and _COMMANDS[cfg.command][1] is None:
             raise UnsupportedCombinationError(
                 f"--format csv is not available for {cfg.command}")
-        params, results, checks, code = _COMMANDS[cfg.command][0](cfg)
+        params, results, checks = _COMMANDS[cfg.command][0](cfg)
         rendered = _render(cfg, params, results, checks)
     except UnsupportedCombinationError as exc:
         print(f"toepnull: unsupported: {exc}", file=sys.stderr)
@@ -450,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_INVALID
     else:
         sys.stdout.write(rendered)
-    return code
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_MISMATCH
 
 
 def entry() -> None:

@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .field import is_prime
+from .kernel_structure import _allowed_next
 
 
 class RuleClass(Enum):
@@ -180,21 +181,16 @@ def rank_spectrum(n: int, q: int) -> Dict[int, int]:
     return {n + 1 - nu: row[nu] for nu in range(n + 2)}
 
 
-@dataclass(frozen=True)
-class ThetaEta:
-    """Counts of order-n specs ending (0,0) [theta] and (1,0) [eta]."""
-
-    n: int
-    theta: int
-    eta: int
+def _split(dist: Dist) -> Tuple[int, int]:
+    return dist.get((0, 0), 0), dist.get((1, 0), 0)
 
 
-def theta_eta(n: int) -> ThetaEta:
-    """Terminal-pair split of the invertible order-n count over GF(2), from the DP."""
+def theta_eta(n: int) -> Tuple[int, int]:
+    """(theta, eta): the order-n GF(2) specs ending in the pairs (0, 0) and
+    (1, 0), which split the invertible count, from the DP."""
     if n < 1:
         raise ValueError("terminal-pair split needs order >= 1")
-    dist = _last(_orders(n, 2))
-    return ThetaEta(n=n, theta=dist.get((0, 0), 0), eta=dist.get((1, 0), 0))
+    return _split(_last(_orders(n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +258,10 @@ def iter_positive_strings(length: int) -> Iterator[Tuple[int, ...]]:
         if len(prefix) == length:
             yield prefix
             return
-        for nxt in _positive_next(prev, cur):
+        for nxt in sorted(filter(None, _allowed_next(prev, cur))):
             yield from walk(prefix + (nxt,), cur, nxt)
 
     yield from walk((1,), 0, 1)
-
-
-def _positive_next(prev: int, cur: int) -> Tuple[int, ...]:
-    if prev < cur:
-        return (cur - 1, cur, cur + 1) if cur > 1 else (cur, cur + 1)
-    if prev == cur:
-        return (cur - 1, cur) if cur > 1 else (cur,)
-    return (cur - 1,) if cur > 1 else ()
 
 
 def positive_string_counts(m: int, k: int) -> int:
@@ -354,7 +342,7 @@ def nullity_count_closed(n: int, k: int) -> int:
     return 3 * 4 ** (n - k)
 
 
-def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], ThetaEta, int, int]]:
+def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], Tuple[int, int], int, int]]:
     """For m = 1..n: ``count_table(m, 2).row(m)``, ``theta_eta(m)``,
     ``nullity1_structured_count(m)`` and ``positive_excursion_count(m, 2)``, read
     off one pass of each walk: O(n^2) steps where per-order calls take O(n^3)."""
@@ -364,7 +352,6 @@ def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], ThetaEta, int, int]]:
     next(full)
     rows, before = [], next(positive)
     for m, dist, pos in zip(range(1, n + 1), full, positive):
-        duo = ThetaEta(m, dist.get((0, 0), 0), dist.get((1, 0), 0))
-        rows.append((_row(dist, m), duo, _row(pos, m)[1], _to_zero(before, 2)))
+        rows.append((_row(dist, m), _split(dist), _row(pos, m)[1], _to_zero(before, 2)))
         before = pos
     return rows

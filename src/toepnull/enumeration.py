@@ -272,22 +272,14 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
 # single-spec census
 
 
-@dataclass(frozen=True)
-class ExtensionCensus:
-    """Nullity counts over the q^2 one-step extensions of a base spec."""
-
-    base: ToeplitzSpec
-    counts: Dict[int, int]
-
-
-def extension_census(spec: ToeplitzSpec) -> ExtensionCensus:
-    """Measure all q^2 one-step extensions of ``spec`` directly; every
-    child's nullity is also re-ranked from scratch."""
+def extension_census(spec: ToeplitzSpec) -> Dict[int, int]:
+    """``{nullity: count}`` over the q^2 one-step extensions of ``spec``,
+    measured directly; every child's nullity is also re-ranked from scratch."""
     q = spec.field.q
     eng = engine(q)
     kids, nus = eng.children(eng.rows(spec.a, spec.b))
     _check_ranks(q, kids, nus, spec.order, spec_index(spec))
-    return ExtensionCensus(base=spec, counts=dict(Counter(nus)))
+    return dict(Counter(nus))
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +536,24 @@ DESCENT = "descent_interior_zeros"
 
 def _cross_check(tally: _Tally, name: str, ok: bool, m: int, index: int,
                  run_start: int) -> None:
-    """Re-run the public predicate on rebuilt specs; it must agree with the scan."""
+    """Re-run the public predicate on rebuilt specs; it must agree with the
+    scan, and refusing the specs as unqualified is a disagreement too."""
     fld = PrimeField(tally.q)
     a, b = _index_to_ab(index, m, tally.q)
     run = [ToeplitzSpec(field=fld, a=a[:k + 1], b=b[:k]) for k in range(run_start, m + 1)]
-    if name == PLATEAU_RUN:
-        ok_pub = kernel_structure.check_plateau_shift(run)
-    elif name == DESCENT:
-        ok_pub = kernel_structure.check_descent_interior_zeros(run[-1])
-    elif name == ENDS:
-        ok_pub = kernel_structure.check_single_generator_ends(*run)
-    else:
-        ok_pub = kernel_structure.check_ascent_span(*run)
-    tally.record(name, ok_pub == ok, m, index,
-                 f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})", cross=True)
+    try:
+        if name == PLATEAU_RUN:
+            ok_pub = kernel_structure.check_plateau_shift(run)
+        elif name == DESCENT:
+            ok_pub = kernel_structure.check_descent_interior_zeros(run[-1])
+        elif name == ENDS:
+            ok_pub = kernel_structure.check_single_generator_ends(*run)
+        else:
+            ok_pub = kernel_structure.check_ascent_span(*run)
+        detail = f"{name}: predicate ({ok_pub}) disagrees with scan ({ok})"
+    except kernel_structure.PreconditionError as exc:
+        ok_pub, detail = None, f"{name}: predicate refuses the spec: {exc}"
+    tally.record(name, ok_pub == ok, m, index, detail, cross=True)
 
 
 def _verify_scan(args: tuple) -> _Tally:
@@ -567,10 +563,12 @@ def _verify_scan(args: tuple) -> _Tally:
 
     The kernel and the open plateau run of each order are kept in
     per-order lists; a run is (start order, all omega so far, all sigma
-    so far), or None outside runs.
+    so far), or None outside runs.  A kernel whose dimension is not the
+    nullity the walk gave raises :class:`RankCrossCheckError`.
     """
     q, n_max, split, lo, hi = args
     own = split if lo else 0
+    q2 = q * q
     eng = engine(q)
     kernel, omega, sigma, ends = eng.kernel, eng.omega, eng.sigma, eng.ends
     tally = _Tally(q)
@@ -591,6 +589,8 @@ def _verify_scan(args: tuple) -> _Tally:
         runs[m] = None
         if m == 0:
             continue
+        if len(kern) != nu and m >= own:
+            raise RankCrossCheckError(m - 1, index // q2, *divmod(index % q2, q), nu, len(kern))
         prev_nu, prev = string[-2], kernels[m - 1]
         if nu == prev_nu and nu >= 1:
             is_w, is_s = kern == omega(prev), kern == sigma(prev)

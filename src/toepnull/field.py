@@ -3,15 +3,14 @@
 A digit is a plain ``int`` in [0, q); :func:`element_value` rejects
 anything else instead of reducing it silently.
 
-The modulus is capped (default 13).  Everything downstream of this
-module leans on exhaustive verification over all of GF(q)^k, and a
-small cap keeps "exhaustive" honest.  Callers that know what they are
-doing can lift the cap per field with ``max_q``.
+The modulus is capped at DEFAULT_MAX_Q = 13.  Everything downstream of
+this module leans on exhaustive verification over all of GF(q)^k, and a
+small cap keeps "exhaustive" honest.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 
 DEFAULT_MAX_Q = 13
 
@@ -58,19 +57,15 @@ class PrimeField:
     """
 
     q: int
-    _: KW_ONLY
-    max_q: InitVar[int] = DEFAULT_MAX_Q
 
-    def __post_init__(self, max_q: int) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.q, int) or isinstance(self.q, bool):
             raise ValueError(f"modulus must be an integer, got {self.q!r}")
         if not is_prime(self.q):
             raise ValueError(f"modulus must be prime, got {self.q}")
-        if self.q > max_q:
+        if self.q > DEFAULT_MAX_Q:
             raise ValueError(
-                f"modulus {self.q} exceeds the exhaustive-verification cap {max_q}; "
-                "pass max_q to allow it"
-            )
+                f"modulus {self.q} exceeds the exhaustive-verification cap {DEFAULT_MAX_Q}")
 
 
 def element_value(field: PrimeField, x: int) -> int:

@@ -182,7 +182,7 @@ def check_single_generator_ends(prev: ToeplitzSpec, nxt: ToeplitzSpec) -> bool:
     _require_extension(prev, nxt)
     _require(rank_nullity(prev)[1] == 0, "previous matrix must be invertible")
     _require(rank_nullity(nxt)[1] == 1, "extended matrix must have nullity 1")
-    (generator,) = kernel_basis(nxt).vectors
+    (generator,) = kernel_basis(nxt)
     return generator[0] != 0 and generator[-1] != 0
 
 
@@ -200,12 +200,12 @@ def check_ascent_span(prev: ToeplitzSpec, nxt: ToeplitzSpec) -> bool:
         rank_nullity(nxt)[1] == nu_prev + 1,
         "nullity must rise by exactly 1 across the extension",
     )
-    old = kernel_basis(prev).vectors
+    old = kernel_basis(prev)
     spanned = canonical_vectors(
         [shift_omega(v) for v in old] + [shift_sigma(v) for v in old],
         prev.field.q,
     )
-    return kernel_basis(nxt).vectors == spanned
+    return kernel_basis(nxt) == spanned
 
 
 def check_plateau_shift(run: Sequence[ToeplitzSpec]) -> bool:
@@ -225,7 +225,7 @@ def check_plateau_shift(run: Sequence[ToeplitzSpec]) -> bool:
         "all specs in the run must share one positive nullity",
     )
     q = specs[0].field.q
-    kernels = [kernel_basis(s).vectors for s in specs]
+    kernels = [kernel_basis(s) for s in specs]
     omega_all = all(
         kernels[i + 1] == canonical_vectors([shift_omega(v) for v in kernels[i]], q)
         for i in range(len(kernels) - 1)
@@ -249,4 +249,4 @@ def check_descent_interior_zeros(spec: ToeplitzSpec) -> bool:
         nu_prev > nu_cur >= 1,
         "spec must sit strictly inside a descent (prev > cur >= 1)",
     )
-    return all(v[0] == 0 and v[-1] == 0 for v in kernel_basis(spec).vectors)
+    return all(v[0] == 0 and v[-1] == 0 for v in kernel_basis(spec))

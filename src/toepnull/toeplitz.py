@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import PrimeField, element_value
 
@@ -490,15 +490,6 @@ class ToeplitzSpec:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Canonical basis of a kernel: reduced echelon rows ordered by pivot."""
-
-    field: PrimeField
-    length: int
-    vectors: Tuple[Vector, ...]
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -510,12 +501,11 @@ def rank_nullity(spec: ToeplitzSpec) -> Tuple[int, int]:
     return rank, spec.size - rank
 
 
-def kernel_basis(spec: ToeplitzSpec) -> KernelBasis:
-    """Canonical kernel basis of the materialized matrix."""
+def kernel_basis(spec: ToeplitzSpec) -> Tuple[Vector, ...]:
+    """Canonical kernel basis of the materialized matrix as entry tuples:
+    reduced echelon rows ordered by pivot."""
     eng = engine(spec.field.q)
-    kernel = eng.kernel(eng.rows(spec.a, spec.b))
-    return KernelBasis(field=spec.field, length=spec.size,
-                       vectors=eng.vectors(kernel, spec.size))
+    return eng.vectors(eng.kernel(eng.rows(spec.a, spec.b)), spec.size)
 
 
 def extend(spec: ToeplitzSpec, b_new: int, a_new: int) -> ToeplitzSpec:

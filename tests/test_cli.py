@@ -1,6 +1,7 @@
 """Command-line interface: schema, exit codes, formats, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -542,6 +544,15 @@ def test_huge_orders_exit_on_the_budget_at_once(capsys, monkeypatch):
     assert time.perf_counter() - start < 20
 
 
+def test_modulus_cap_is_named_in_the_error(capsys):
+    for argv in (["table", "--n", "2", "--q", "17", "--check-brute-force"],
+                 ["verify", "--n", "2", "--q", "17"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "toepnull: error: modulus 17 exceeds the exhaustive-verification cap 13\n"
+        assert "max_q" not in err
+
+
 def test_unsupported_combinations(capsys):
     code, out, err = run(capsys, "closed-forms", "--n", "3", "--q", "3")
     assert code == EXIT_UNSUPPORTED and "GF(2)" in err
@@ -667,6 +678,67 @@ def test_rank_cross_check_failure_is_independent_of_jobs(capsys, monkeypatch):
     assert cross_check_outcomes(capsys, 2) == cross_check_outcomes(capsys, 1)
 
 
+def fault_children_of(monkeypatch, index, fault):
+    """Apply ``fault`` to the child nullities that the packed engine's
+    shared elimination gives for the order-2 GF(2) spec at lex ``index``."""
+    target = toeplitz.engine(2).rows(*enumeration._index_to_ab(index, 2, 2))
+    real = toeplitz._PackedGF2.children
+
+    def children(self, rows):
+        kids, nus = real(self, rows)
+        if rows == target:
+            fault(nus)
+        return kids, nus
+
+    monkeypatch.setattr(toeplitz._PackedGF2, "children", children)
+
+
+def overstate_first(nus):
+    nus[0] += 1
+
+
+def swap_first_with_a_different(nus):
+    i = next(k for k, nu in enumerate(nus) if nu != nus[0])
+    nus[0], nus[i] = nus[i], nus[0]
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the injected fault"))])
+@pytest.mark.parametrize("index, fault, child", [
+    (16, overstate_first, "(0, 0)"),  # used to die at kern[0] with an IndexError
+    (5, swap_first_with_a_different, "(1, 0)"),  # census intact; blamed the plateau rule
+])
+def test_kernel_dimension_is_checked_against_the_walks_nullity(
+        capsys, monkeypatch, jobs, index, fault, child):
+    fault_children_of(monkeypatch, index, fault)
+    code, out, err = run(capsys, "verify", "--n", "3", "--q", "2", "--jobs", str(jobs))
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err == (f"toepnull: cross-check: rank cross-check failed: child (a_new, b_new) = "
+                   f"{child} of the order-2 spec at index {index} has nullity 1 by shared "
+                   f"elimination but 0 from scratch\n")
+
+
+def test_a_predicate_refusing_a_replayed_spec_fails_its_cross_check(capsys, monkeypatch):
+    # the all-zero order-3 spec claims a plateau (4, 4); its replay of
+    # nullities (3, 4) is not one, and that is the scan's fault, not the input's
+    real = enumeration.walk
+
+    def walk(*args):
+        for m, index, rows, string, nus in real(*args):
+            if (m, index) == (3, 0):
+                string = string[:-2] + string[-1:] * 2
+            yield m, index, rows, string, nus
+
+    monkeypatch.setattr(enumeration, "walk", walk)
+    code, payload = run_json(capsys, "verify", "--n", "3", "--q", "2")
+    assert code == EXIT_MISMATCH
+    plateau = next(c for c in payload["checks"] if c["name"] == "structure:plateau_shift")
+    assert not plateau["passed"] and plateau["counterexample"]["index"] == 0
+    _, structure = cli.verify_exhaustive(3, 2)
+    assert structure.checks["plateau_shift"].failures == 2  # the scan's and the replay's
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = ["table", "--n", "2", "--q", "3", "--format", "json"]
@@ -699,6 +771,22 @@ def test_public_surface_resolves():
     assert len(set(toepnull.__all__)) == len(toepnull.__all__)
     for name in toepnull.__all__:
         assert namespace[name] is getattr(toepnull, name)
+
+
+def test_public_annotations_resolve():
+    from toepnull import counting, field
+
+    for module in (field, toeplitz, kernel_structure, counting, enumeration, cli):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                typing.get_type_hints(obj)
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        typing.get_type_hints(member)
+            elif inspect.isfunction(obj):
+                typing.get_type_hints(obj)
 
 
 def test_version_flag(capsys):

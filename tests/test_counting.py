@@ -29,7 +29,6 @@ from toepnull import (
 )
 from toepnull import counting
 from toepnull.counting import (
-    ThetaEta,
     battery_rows,
     closed_excursions,
     closed_nullity1,
@@ -174,8 +173,8 @@ def test_one_pass_matches_the_restarted_dp(q):
             mass * w for s, mass in before.items()
             for value, w in transition_weights(s, q) if value == 0)
         if q == 2:
-            assert theta_eta(n) == ThetaEta(n, dist.get(PairState(0, 0), 0),
-                                            dist.get(PairState(1, 0), 0))
+            assert theta_eta(n) == (dist.get(PairState(0, 0), 0),
+                                    dist.get(PairState(1, 0), 0))
             after = restarted_dp(n, q, fresh, positive=True)
             assert nullity1_structured_count(n) == sum(
                 mass for s, mass in after.items() if s.cur == 1)
@@ -210,18 +209,17 @@ def test_count_table_matches_the_general_closed_forms(q):
 def test_theta_eta_table():
     expected = {1: (3, 1), 2: (11, 5), 3: (43, 21), 4: (171, 85)}
     for n, (theta, eta) in expected.items():
-        duo = theta_eta(n)
-        assert (duo.theta, duo.eta) == (theta, eta)
+        assert theta_eta(n) == (theta, eta)
         assert closed_theta(n) == theta
         assert closed_eta(n) == eta
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_theta_eta_closed_forms(n):
-    duo = theta_eta(n)
-    assert duo.theta == (2 ** (2 * n + 1) + 1) // 3 == closed_theta(n)
-    assert duo.eta == (2 ** (2 * n) - 1) // 3 == closed_eta(n)
-    assert duo.theta + duo.eta == 4**n
+    theta, eta = theta_eta(n)
+    assert theta == (2 ** (2 * n + 1) + 1) // 3 == closed_theta(n)
+    assert eta == (2 ** (2 * n) - 1) // 3 == closed_eta(n)
+    assert theta + eta == 4**n
 
 
 def test_theta_eta_domain():

@@ -28,6 +28,7 @@ from toepnull import (
     resolve_budget,
     sample_census,
     spec_index,
+    theta_eta,
     verify_exhaustive,
 )
 from toepnull import cli, enumeration, kernel_structure
@@ -102,7 +103,7 @@ def test_walk_preorder_parent_is_last_node_one_order_up():
 
 def census_of(a, b, q=2):
     spec = ToeplitzSpec(field=PrimeField(q), a=a, b=b)
-    return extension_census(spec).counts
+    return extension_census(spec)
 
 
 def test_extension_census_examples():
@@ -119,7 +120,7 @@ def test_census_totals_and_step_bound(q):
 
     for digits in itertools.product(range(q), repeat=3):
         spec = ToeplitzSpec(field=fld, a=digits[:2], b=digits[2:])
-        census = extension_census(spec).counts
+        census = extension_census(spec)
         nu = rank_nullity(spec)[1]
         assert sum(census.values()) == q * q
         assert all(abs(child - nu) <= 1 for child in census)
@@ -194,6 +195,8 @@ def test_brute_force_matches_direct_enumeration():
 def test_brute_force_theta_eta():
     assert brute_force_theta_eta(1) == (3, 1)
     assert brute_force_theta_eta(4) == (171, 85)
+    for n in range(1, 7):
+        assert brute_force_theta_eta(n) == theta_eta(n)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,19 @@ def test_rule_stats_flags_wrong_census():
     # the recorded spec can be rebuilt and re-measured independently,
     # exposing the fabricated census
     rebuilt = ToeplitzSpec(field=F2, a=cex.a, b=cex.b)
-    assert extension_census(rebuilt).counts == {0: 3, 1: 1}
+    assert extension_census(rebuilt) == {0: 3, 1: 1}
+
+
+def test_predicate_refusal_is_a_failed_cross_check():
+    # the scan claims the zero specs of orders 2 and 3 form a plateau run;
+    # their nullities are 3 and 4, so the public predicate refuses them
+    tally = _Tally(2)
+    enumeration._cross_check(tally, enumeration.PLATEAU_RUN, True, 3, 0, 2)
+    check = tally[enumeration.PLATEAU_RUN]
+    assert (check.checked, check.cross_checked, check.failures) == (0, 1, 1)
+    assert check.counterexample.detail == ("plateau_shift: predicate refuses the spec: "
+                                           "all specs in the run must share one positive "
+                                           "nullity")
 
 
 def test_rule_stats_keeps_smallest_counterexample():

@@ -46,7 +46,7 @@ def test_is_prime_large_moduli():
     with pytest.raises(ValueError, match="too large"):
         is_prime(3_317_044_064_679_887_385_961_981)
     with pytest.raises(ValueError, match="too large"):
-        PrimeField(2 ** 127 - 1, max_q=2 ** 128)
+        PrimeField(2 ** 127 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,6 @@ def test_composite_or_tiny_modulus_rejected(bad):
 def test_modulus_cap():
     with pytest.raises(ValueError):
         PrimeField(17)
-    assert PrimeField(17, max_q=17).q == 17
     assert PrimeField(DEFAULT_MAX_Q).q == 13
 
 
