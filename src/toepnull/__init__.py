@@ -58,7 +58,6 @@ from .counting import (
     transition_weights,
 )
 from .enumeration import (
-    BUDGET_ENV_VAR,
     DEFAULT_BUDGET,
     BudgetExceededError,
     Check,
@@ -71,7 +70,6 @@ from .enumeration import (
     enumerate_all,
     extension_census,
     realized_nullity_strings,
-    resolve_budget,
     sample_census,
     spec_index,
     verify_exhaustive,
@@ -96,9 +94,8 @@ __all__ = [
     "positive_string_counts", "rank_spectrum", "state_distribution", "theta_eta",
     "transition_weights",
     # enumeration
-    "BUDGET_ENV_VAR", "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
+    "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
     "RankCrossCheckError", "Report", "XorShift64", "brute_force_table",
     "brute_force_theta_eta", "enumerate_all", "extension_census",
-    "realized_nullity_strings", "resolve_budget", "sample_census", "spec_index",
-    "verify_exhaustive",
+    "realized_nullity_strings", "sample_census", "spec_index", "verify_exhaustive",
 ]

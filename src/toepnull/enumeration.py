@@ -26,20 +26,18 @@ rule censuses and the kernel predicates off one walk.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
-with the TOEPNULL_BUDGET environment variable or a ``budget`` argument)
-refuses up front rather than silently truncating.  ``jobs`` (at most
-MAX_JOBS) cuts a shallow level of the tree into index ranges; each
-worker walks from the root into its own ranges only, and the first
-range also owns the levels above.  Every tally merges associatively and
-counterexamples are ordered by (order, lex index), so reports are
-identical for any worker count.
+with a ``budget`` argument) refuses up front rather than silently
+truncating.  ``jobs`` (at most MAX_JOBS) cuts a shallow level of the
+tree into index ranges; each worker walks from the root into its own
+ranges only, and the first range also owns the levels above.  Every
+tally merges associatively and counterexamples are ordered by (order,
+lex index), so reports are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -51,7 +49,6 @@ from .toeplitz import ToeplitzSpec, engine
 from .toeplitz import gf2_rank  # noqa: F401  the perfbench tracer test looks it up here
 
 DEFAULT_BUDGET = 1 << 28
-BUDGET_ENV_VAR = "TOEPNULL_BUDGET"
 MAX_JOBS = 64
 RANK_CHECK_STRIDE = 64
 PREDICATE_CHECK_STRIDE = 64
@@ -105,29 +102,16 @@ def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> 
             raise RankCrossCheckError(m, index, *divmod(k, q), nu, scratch)
 
 
-def resolve_budget(budget: Optional[int]) -> int:
-    """Explicit argument, else TOEPNULL_BUDGET from the environment, else default."""
-    if budget is not None:
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
-
-
 def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
-    cap = resolve_budget(budget)
+    """Refuse an order-n scan whose deepest level exceeds ``budget``
+    matrices, DEFAULT_BUDGET when it is None."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif budget < 1:
+        raise ValueError("budget must be positive")
     required = q ** (2 * n + 1)
-    if required > cap:
-        raise BudgetExceededError(required, cap)
+    if required > budget:
+        raise BudgetExceededError(required, budget)
 
 
 def _check_params(n: int, q: int, jobs: int = 1) -> PrimeField:
@@ -287,12 +271,19 @@ def extension_census(spec: ToeplitzSpec) -> Dict[int, int]:
 
 
 def _count_scan(args: tuple) -> List[List[int]]:
+    """Counts by nullity per order; a nullity outside 0..m+1 at order m
+    can only come from the parent's ``children``, and raises
+    :class:`RankCrossCheckError` against a from-scratch rank."""
     q, n_max, split, lo, hi = args
     own = split if lo else 0
     counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    for m, _, _, string, _ in walk(q, n_max, split, lo, hi):
+    for m, index, rows, string, _ in walk(q, n_max, split, lo, hi):
         if m >= own:
-            counts[m][string[-1]] += 1
+            nu = string[-1]
+            if not 0 <= nu <= m + 1:
+                raise RankCrossCheckError(m - 1, index // (q * q), *divmod(index % (q * q), q),
+                                          nu, m + 1 - engine(q).rank(rows))
+            counts[m][nu] += 1
     return counts
 
 
@@ -366,12 +357,7 @@ class Check:
 class Report:
     """The checks of one kind over one scan, by name."""
 
-    q: int
-    n_max: int
-    mode: str
     checks: Dict[str, Check]
-    trials: Optional[int] = None
-    seed: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -418,7 +404,11 @@ class _Tally(dict):
         """Check the census of one spec's children against the weight model."""
         cached = self.expected.get((prev_nu, nu))
         if cached is None:
-            state = PairState(prev_nu, nu)
+            try:
+                state = PairState(prev_nu, nu)
+            except ValueError as exc:  # no census fits; only faulty elimination gets here
+                self.record(STEP_RULE, False, m, index, str(exc))
+                return
             cached = (state.rule_class.value, dict(transition_weights(state, self.q)))
             self.expected[prev_nu, nu] = cached
         name, expected = cached
@@ -444,15 +434,20 @@ _REPRESENTATIVE = {
 }
 
 START_RULE = "start"
+STEP_RULE = "step_bound"
 
 
-def _rule_report(tally: _Tally, n_max: int, mode: str, **sampled) -> Report:
-    """One check per pair class, each with its expected census."""
+def _rule_report(tally: _Tally) -> Report:
+    """One check per pair class, each with its expected census, and the
+    step bound |nu_m - nu_{m-1}| <= 1 if a measured pair broke it."""
     for cls, state in _REPRESENTATIVE.items():
         tally[cls.value].expected_offsets = {
             value - state.cur: w for value, w in transition_weights(state, tally.q)}
-    return Report(tally.q, n_max, mode, {cls.value: tally[cls.value] for cls in RuleClass},
-                  **sampled)
+    checks = {cls.value: tally[cls.value] for cls in RuleClass}
+    if STEP_RULE in tally:
+        checks[STEP_RULE] = tally[STEP_RULE]
+        checks[STEP_RULE].expected_offsets = {}  # no spec has such a pair
+    return Report(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +485,27 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
     a given (n, q, trials, seed) always examines the same specs.  Useful
     far beyond the exhaustive budget; cost scales with trials, not q^n.
-    The children of every RANK_CHECK_STRIDE-th trial, from trial 0 on,
-    are re-ranked from scratch.
+    A trial's (previous, current) nullity is the tail of its bordered
+    string (``prefix_nullities``, with a virtual 0 before order 0), and
+    ``children`` gives the census: two eliminations per trial.  The
+    children of every RANK_CHECK_STRIDE-th trial, from trial 0 on, are
+    re-ranked from scratch.
     """
-    _check_params(n, q)
+    fld = _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
     rng = XorShift64(seed)
     eng = engine(q)
     tally = _Tally(q)
     for trial in range(trials):
-        digits = [rng.below(q) for _ in range(2 * n + 1)]
-        a, b = _digits_to_ab(digits)
-        rows = eng.rows(a, b)
-        prev_nu = n - eng.rank(eng.rows(a[:-1], b[:-1])) if n else 0
-        index = sum(d * q ** k for k, d in enumerate(reversed(digits)))  # digits in base q
-        kids, nus = eng.children(rows)
+        a, b = _digits_to_ab([rng.below(q) for _ in range(2 * n + 1)])
+        prev_nu, nu = (0, *eng.prefix_nullities(a, b))[-2:]
+        index = spec_index(ToeplitzSpec(field=fld, a=a, b=b))
+        kids, nus = eng.children(eng.rows(a, b))
         if not trial % RANK_CHECK_STRIDE:
             _check_ranks(q, kids, nus, n, index)
-        tally.census(prev_nu, n + 1 - eng.rank(rows), nus, n, index)
-    return _rule_report(tally, n, "sampled", trials=trials, seed=seed)
+        tally.census(prev_nu, nu, nus, n, index)
+    return _rule_report(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +636,7 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
         start.counterexample = Counterexample(
             order=0, a=(), b=(), index=0,
             detail=f"start census {start_census} != expected {start.expected_offsets}")
-    rules = _rule_report(tally, n_max, "exhaustive")
+    rules = _rule_report(tally)
     rules.checks[START_RULE] = start
     names = sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))
-    return rules, Report(q, n_max, "exhaustive", {name: tally[name] for name in names})
+    return rules, Report({name: tally[name] for name in names})

@@ -192,13 +192,6 @@ def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
     return basis
 
 
-def _subtract(u: List[int], f: int, v: List[int], q: int) -> None:
-    """u -= f v modulo q, in place; a row's entries past its end are 0."""
-    if len(u) < len(v):
-        u.extend([0] * (len(v) - len(u)))
-    u[:len(v)] = [(x - f * y) % q for x, y in zip(u, v)]
-
-
 def _directions(r0: List[int], r1: List[int], q: int) -> List[Optional[Vector]]:
     """For d = 0..q-1 the vector r0 + d (r1 - r0) scaled to leading entry
     1, or None when it is 0; two vectors are dependent exactly when
@@ -366,7 +359,10 @@ class _DenseGFq:
     def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
         q = self.q
         # pivot column -> (row of E, row of U), in the order _gfq_residual
-        # takes them; a row of U may be short, its missing entries are 0
+        # takes them; a row of U may be short, its missing entries are 0.
+        # A U row made at order k has k + 1 entries, and the zero rows stay
+        # in the order they were made, so a row is never shorter than the
+        # earlier zero row or pivot row subtracted from it below
         piv: dict = {}
         zeros: List[List[int]] = []  # rows of U whose row of E is 0
         out = []
@@ -386,7 +382,7 @@ class _DenseGFq:
                         keep = [x * inv % q for x in u]
                         piv[m] = [0] * m + [1], keep
                         continue
-                    _subtract(u, f, keep, q)
+                    u[:len(keep)] = [(x - f * y) % q for x, y in zip(u, keep)]
                 rest.append(u)
             zeros = rest
             # the new row, with U row e_m, reduced by the pivots
@@ -395,7 +391,7 @@ class _DenseGFq:
                 f = e[p]
                 if f:
                     e = [(x - f * y) % q for x, y in zip(e, erow)]
-                    _subtract(u, f, urow, q)
+                    u[:len(urow)] = [(x - f * y) % q for x, y in zip(u, urow)]
             c = next(filter(e.__getitem__, range(m + 1)), None)
             if c is None:
                 zeros.append(u)
@@ -438,15 +434,16 @@ def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
     with ``rank``.
 
     ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
-    the leading block of the next, from one elimination state: the
-    reduced rows E of T_m and the row operations U with E = U T_m.  To
-    go to T_{m+1} it appends U c to E, c being the new column; makes
-    the first zero row of E with a nonzero new entry that column's pivot
-    and clears the entry from the other zero rows; and reduces the new
-    row, with U row e_{m+1}, by the pivots.  The nullity is the count of
-    zero rows.  That is O(m^2) work per order, O(n^3) per string, with
-    no call to ``rows`` or ``rank``, which stay the from-scratch path
-    the tests check it against.
+    the leading block of the next, for ``nullity_string`` and for the
+    (previous, current) pair of each ``sample_census`` trial, from one
+    elimination state: the reduced rows E of T_m and the row operations
+    U with E = U T_m.  To go to T_{m+1} it appends U c to E, c being the
+    new column; makes the first zero row of E with a nonzero new entry
+    that column's pivot and clears the entry from the other zero rows;
+    and reduces the new row, with U row e_{m+1}, by the pivots.  The
+    nullity is the count of zero rows.  That is O(m^2) work per order,
+    O(n^3) per string, with no call to ``rows`` or ``rank``, which stay
+    the from-scratch path the tests check it against.
 
     ``omega``/``sigma`` append/prepend a zero to every kernel vector,
     ``span`` is a canonical span and ``ends`` the first and last entry

@@ -25,14 +25,6 @@ from toepnull.cli import (
     main,
 )
 
-pytestmark = pytest.mark.usefixtures("clean_budget_env")
-
-
-@pytest.fixture
-def clean_budget_env(monkeypatch):
-    monkeypatch.delenv("TOEPNULL_BUDGET", raising=False)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -236,6 +228,16 @@ def test_spectrum_includes_closed_form_check_at_two(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert names == ["closed_form_cross_check"]
     assert payload["results"]["spectrum"][0] == {"rank": 7, "count": "4096"}
+
+
+def test_spectrum_names_the_ranks_off_the_closed_forms(capsys, monkeypatch):
+    real = cli.nullity_count_closed
+    monkeypatch.setattr(cli, "nullity_count_closed", lambda n, k: real(n, k) + (k == 1))
+    code, payload = run_json(capsys, "spectrum", "--n", "3", "--q", "2")
+    assert code == EXIT_MISMATCH
+    assert payload["checks"] == [{
+        "name": "closed_form_cross_check", "passed": False, "checked": 5,
+        "detail": "ranks disagreeing with the closed forms: [3]"}]
 
 
 def test_spectrum_brute_force_check(capsys):
@@ -505,11 +507,14 @@ def test_large_moduli_are_decided_quickly(capsys):
     assert "modulus too large" in err
 
 
-def test_bad_budget_env_is_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("TOEPNULL_BUDGET", "plenty")
-    code, out, err = run(capsys, "table", "--n", "2", "--q", "2",
-                         "--check-brute-force")
-    assert code == EXIT_INVALID and "TOEPNULL_BUDGET" in err
+def test_budget_env_var_is_ignored(capsys, monkeypatch):
+    # --budget is the one way to set the cap; the old variable changes nothing
+    argv = ("table", "--n", "2", "--q", "2", "--check-brute-force")
+    plain = run(capsys, *argv)
+    assert plain[0] == EXIT_OK
+    for value in ("plenty", "1"):
+        monkeypatch.setenv("TOEPNULL_BUDGET", value)
+        assert run(capsys, *argv) == plain
 
 
 def test_budget_exit(capsys):
@@ -717,6 +722,57 @@ def test_kernel_dimension_is_checked_against_the_walks_nullity(
     assert err == (f"toepnull: cross-check: rank cross-check failed: child (a_new, b_new) = "
                    f"{child} of the order-2 spec at index {index} has nullity 1 by shared "
                    f"elimination but 0 from scratch\n")
+
+
+def raise_first_by_two(nus):
+    nus[0] += 2
+
+
+def set_first(value):
+    def fault(nus):
+        nus[0] = value
+    return fault
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected fault")
+def test_a_measured_nullity_jump_fails_verification_at_any_jobs(capsys, monkeypatch):
+    # child (0, 0) of the order-2 spec at index 5, off the rank stride,
+    # claims nullity 3 after its parent's 1; the census of the pair (1, 3)
+    # used to raise as invalid input (exit 4) before the kernel check ran
+    fault_children_of(monkeypatch, 5, raise_first_by_two)
+    for jobs in ("1", "2"):
+        assert run(capsys, "verify", "--n", "4", "--q", "2", "--jobs", jobs) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: rank cross-check failed: child "
+            "(a_new, b_new) = (0, 0) of the order-2 spec at index 5 has nullity 3 by shared "
+            "elimination but 1 from scratch\n")
+    # a fall from 2 to 0 leaves no kernel to check: the pair fails the step bound
+    monkeypatch.undo()
+    fault_children_of(monkeypatch, 1, set_first(0))
+    code, out, err = run(capsys, "verify", "--n", "4", "--q", "2", "--format", "json")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    step = next(c for c in json.loads(out)["checks"] if c["name"] == "rule:step_bound")
+    assert step == {"name": "rule:step_bound", "passed": False, "checked": 1,
+                    "expected_offsets": {}, "counterexample": {
+                        "order": 3, "a": [0, 0, 0, 0], "b": [0, 1, 0], "index": 4,
+                        "detail": "consecutive nullities differ by at most 1, got (2, 0)"}}
+    assert run(capsys, "verify", "--n", "4", "--q", "2", "--jobs", "2",
+               "--format", "json") == (EXIT_MISMATCH, out.replace('"jobs": 1,', '"jobs": 2,'), "")
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the injected fault"))])
+@pytest.mark.parametrize("nullity", [6, -1])
+def test_an_impossible_nullity_fails_the_brute_force_scan(capsys, monkeypatch, jobs, nullity):
+    # an order-3 nullity must lie in 0..4; past the end it used to raise
+    # IndexError, and below 0 it landed in the last slot unseen
+    fault_children_of(monkeypatch, 5, set_first(nullity))
+    for argv in (["table", "--n", "4"], ["spectrum", "--n", "3"]):
+        assert run(capsys, *argv, "--q", "2", "--check-brute-force", "--jobs", str(jobs)) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: rank cross-check failed: child "
+            f"(a_new, b_new) = (0, 0) of the order-2 spec at index 5 has nullity {nullity} "
+            "by shared elimination but 1 from scratch\n")
 
 
 def test_a_predicate_refusing_a_replayed_spec_fails_its_cross_check(capsys, monkeypatch):

@@ -3,12 +3,13 @@
 import itertools
 import multiprocessing
 import pickle
+from collections import Counter
 
 import pytest
 
 from toepnull import (
-    BUDGET_ENV_VAR,
     BudgetExceededError,
+    Counterexample,
     DEFAULT_BUDGET,
     PairState,
     PrimeField,
@@ -25,7 +26,6 @@ from toepnull import (
     iter_valid_strings,
     rank_nullity,
     realized_nullity_strings,
-    resolve_budget,
     sample_census,
     spec_index,
     theta_eta,
@@ -88,6 +88,32 @@ def test_walk_matches_per_spec_measurements(n, q):
         assert indices == list(range(q ** (2 * m + 1)))
 
 
+@pytest.mark.parametrize("q", (2, 3, 13))
+def test_order_zero_scans_stop_at_the_roots(q):
+    # only a_0 = 0 gives a singular 1 x 1 matrix; roots have no children
+    nodes = [(m, index, string, nus) for m, index, _, string, nus in walk(q, 0)]
+    assert nodes == [(0, a0, (int(a0 == 0),), ()) for a0 in range(q)]
+    assert brute_force_table(0, q).counts == ((q - 1, 1),)
+    assert realized_nullity_strings(0, q) == {(0,), (1,)}
+    rules, structure = verify_exhaustive(0, q)
+    assert rules.passed and structure.passed
+    assert {name: c.checked for name, c in rules.checks.items()} == {
+        **{c.value: 0 for c in RuleClass}, "start": 1}
+    assert all(c.checked == 0 for c in structure.checks.values())
+
+
+def test_start_census_failure_is_reported(monkeypatch):
+    # every 1 x 1 matrix claims rank 1, so no root opens at nullity 1
+    monkeypatch.setattr(type(engine(3)), "rank", lambda self, rows: 1)
+    rules, structure = verify_exhaustive(0, 3)
+    start = rules.checks["start"]
+    assert (start.checked, start.failures, rules.passed) == (1, 1, False)
+    assert rules.counterexample == start.counterexample == Counterexample(
+        order=0, a=(), b=(), index=0,
+        detail="start census {0: 3} != expected {0: 2, 1: 1}")
+    assert structure.passed
+
+
 def test_walk_preorder_parent_is_last_node_one_order_up():
     last = {}
     for m, index, _, string, _ in walk(3, 2):
@@ -130,24 +156,26 @@ def test_census_totals_and_step_bound(q):
 # budget plumbing
 
 
-def test_resolve_budget_precedence(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert resolve_budget(None) == DEFAULT_BUDGET
-    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
-    assert resolve_budget(None) == 1000
-    assert resolve_budget(500) == 500  # explicit argument wins
+def test_resolve_budget_precedence():
+    # without a budget the default cap decides; a passed budget replaces it
+    assert next(enumerate_all(13, 2)).order == 13  # 2^27 matrices
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_all(14, 2))
+    assert (exc.value.required, exc.value.budget) == (2 ** 29, DEFAULT_BUDGET)
+    assert next(enumerate_all(14, 2, budget=2 ** 29)).order == 14
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_all(1, 2, budget=7))
 
 
-def test_resolve_budget_rejects_garbage(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "soon")
-    with pytest.raises(ValueError):
-        resolve_budget(None)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
-    with pytest.raises(ValueError):
-        resolve_budget(None)
-    monkeypatch.delenv(BUDGET_ENV_VAR)
-    with pytest.raises(ValueError):
-        resolve_budget(-5)
+def test_resolve_budget_rejects_garbage():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            next(enumerate_all(1, 2, budget=bad))
+        with pytest.raises(ValueError, match="budget must be positive"):
+            brute_force_theta_eta(1, budget=bad)
+        for scan in (brute_force_table, realized_nullity_strings, verify_exhaustive):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                scan(1, 2, budget=bad)
 
 
 def test_budget_guard_reports_requirement():
@@ -161,14 +189,15 @@ def test_budget_guard_reports_requirement():
         brute_force_table(2, 2, budget=31)
 
 
-def test_budget_env_var_guards_scans(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+def test_budget_argument_guards_scans():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_all(4, 2))
+        list(enumerate_all(4, 2, budget=100))
     with pytest.raises(BudgetExceededError):
-        verify_exhaustive(4, 2)
+        verify_exhaustive(4, 2, budget=100)
     with pytest.raises(BudgetExceededError):
-        realized_nullity_strings(4, 2)
+        realized_nullity_strings(4, 2, budget=100)
+    with pytest.raises(BudgetExceededError):
+        brute_force_theta_eta(4, budget=100)
     assert brute_force_table(1, 2, budget=8).row(1) == (4, 3, 1)
 
 
@@ -293,7 +322,7 @@ def test_first_counterexample_is_independent_of_jobs(monkeypatch):
 
 def test_rule_scan_covers_every_parent():
     report, _ = verify_exhaustive(3, 3)
-    assert report.passed and report.mode == "exhaustive"
+    assert report.passed
     # every spec of order < 3 is censused once, plus one root-distribution check
     assert report.checks["start"].checked == 1
     total = sum(c.checked for name, c in report.checks.items() if name != "start")
@@ -420,7 +449,7 @@ def test_xorshift_below_stays_in_range():
 def test_sample_census_is_deterministic():
     first = sample_census(9, 5, trials=40, seed=7)
     second = sample_census(9, 5, trials=40, seed=7)
-    assert first.passed and first.mode == "sampled"
+    assert first.passed
     assert rule_summary(first) == rule_summary(second)
     assert sum(c.checked for c in first.checks.values()) == 40
     shifted = sample_census(9, 5, trials=40, seed=8)
@@ -431,13 +460,48 @@ def test_sample_census_beyond_exhaustive_budget():
     # 13^33 specs of order 16 exist; sampling still answers in milliseconds
     report = sample_census(16, 13, trials=4, seed=3)
     assert report.passed
-    assert report.trials == 4 and report.seed == 3
+    assert sum(c.checked for c in report.checks.values()) == 4
 
 
 def test_sample_census_validates_trials():
     with pytest.raises(ValueError):
         sample_census(3, 2, trials=-1, seed=0)
     assert sample_census(3, 2, trials=0, seed=0).passed
+
+
+@pytest.mark.parametrize("q", (2, 3, 13))
+def test_sampled_trials_off_the_stride_rank_nothing_from_scratch(monkeypatch, q):
+    # a trial is one bordered string and one shared elimination of its
+    # children; only a stride trial re-ranks its q^2 children from scratch
+    calls = Counter()
+    cls = type(engine(q))
+    for name in ("rank", "children", "prefix_nullities"):
+        def counted(self, *args, real=getattr(cls, name), name=name):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    assert sample_census(9, q, trials=5, seed=3).passed
+    assert calls == {"rank": q * q, "children": 5, "prefix_nullities": 5}
+    calls.clear()
+    monkeypatch.setattr(enumeration, "RANK_CHECK_STRIDE", 2)  # trials 0, 2 and 4
+    assert sample_census(9, q, trials=5, seed=3).passed
+    assert calls == {"rank": 3 * q * q, "children": 5, "prefix_nullities": 5}
+
+
+def test_a_sampled_pair_past_the_step_bound_fails_a_check(monkeypatch):
+    # a bordered string that jumps is a measurement fault, not bad input
+    cls = type(engine(3))
+    real = cls.prefix_nullities
+    monkeypatch.setattr(cls, "prefix_nullities",
+                        lambda self, a, b: real(self, a, b)[:-1] + (9,))
+    report = sample_census(4, 3, trials=3, seed=2)
+    step = report.checks["step_bound"]
+    assert (step.checked, step.failures, step.expected_offsets) == (3, 3, {})
+    assert report.counterexample is step.counterexample
+    assert step.counterexample.detail.startswith(
+        "consecutive nullities differ by at most 1, got (")
+    assert sample_census(4, 3, trials=0, seed=2).checks.keys() == {
+        c.value for c in RuleClass}
 
 
 # ---------------------------------------------------------------------------
