@@ -9,20 +9,19 @@ Every scan is one loop over one walker, :func:`walk`.  It visits the
 extension tree depth first: the children of an order-m spec are its q^2
 one-step extensions, ordered by (a_new, b_new), so specs of a fixed
 order come in lexicographic order of their digit tuples
-(a_0, a_1, b_1, ..., a_n, b_n).  For each spec it yields the order, the
-lex index, the rows, the nullity string and the nullities of the
-children.  Rows, ranks and kernels come from the engine that
-``toeplitz.engine`` picks for the modulus (packed GF(2) or dense
-GF(q)), so nothing here depends on q.  Child rows are read off the
-parent's rows (a Toeplitz matrix contains its predecessor).  The q^2
-children share all rows but the first and the last, and the engine's
-``children`` eliminates those shared rows once per parent; each child's
-rank is still an exact elimination of its own rows.  As an independent
-check, the walker re-ranks from scratch (``gf2_rank``/``gfq_rank``) all
-children of every spec whose lex index is a multiple of
-RANK_CHECK_STRIDE, the same specs at any worker count; a disagreement
-raises :class:`RankCrossCheckError`.  :func:`verify_exhaustive` reads the
-rule censuses and the kernel predicates off one walk.
+(a_0, a_1, b_1, ..., a_n, b_n).  Rows and ranks come from
+``toeplitz.engine(q)``, whose ``children`` eliminates the rows a
+parent's q^2 children share once; each child's rank is still an exact
+elimination of its own rows.  The count, theta/eta and string scans
+walk only the lex-least spec of each orbit of the group G of transpose,
+scaling and diagonal similarity, which keeps every nullity string, and
+count it for its whole orbit; :func:`verify_exhaustive` walks every
+spec for the rule censuses and the kernel predicates.  As independent
+checks the walker re-ranks from scratch all children of every walked
+spec whose lex index is a multiple of RANK_CHECK_STRIDE and ranks each
+member of its orbit from scratch (the same specs at any worker count),
+and each order's orbit sizes must add up to q^(2m+1); a disagreement
+raises :class:`RankCrossCheckError`.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
@@ -80,9 +79,8 @@ class RankCrossCheckError(RuntimeError):
     """A child nullity from the engine's shared elimination disagreed
     with a from-scratch elimination of the child's rows."""
 
-    def __init__(self, order: int, index: int, a_new: int, b_new: int,
-                 shared: int, scratch: int) -> None:
-        super().__init__(order, index, a_new, b_new, shared, scratch)  # picklable
+    def __init__(self, order: int, index: int, *detail) -> None:
+        super().__init__(order, index, *detail)  # picklable
         self.order, self.index = order, index
 
     def __str__(self) -> str:
@@ -92,14 +90,26 @@ class RankCrossCheckError(RuntimeError):
                 f"shared elimination but {scratch} from scratch")
 
 
+class OrbitCrossCheckError(RankCrossCheckError):
+    """The reduced walk's orbits disagreed with their expansion or sizes."""
+
+    def __str__(self) -> str:
+        return f"orbit cross-check failed: {self.args[2]}"
+
+
+def _recheck(q: int, m: int, index: int, rows: list, nu: int) -> None:
+    """Raise unless the order-m child at ``index`` has nullity ``nu``."""
+    scratch = m + 1 - engine(q).rank(rows)
+    if scratch != nu:
+        raise RankCrossCheckError(m - 1, index // (q * q), *divmod(index % (q * q), q),
+                                  nu, scratch)
+
+
 def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> None:
     """Re-rank every child of the order-m spec at ``index`` from scratch
     (``gf2_rank``/``gfq_rank``) against the nullities ``children`` gave."""
-    rank = engine(q).rank
     for k, (kid, nu) in enumerate(zip(kids, nus)):
-        scratch = m + 2 - rank(kid)
-        if scratch != nu:
-            raise RankCrossCheckError(m, index, *divmod(k, q), nu, scratch)
+        _recheck(q, m + 1, index * q * q + k, kid, nu)
 
 
 def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
@@ -157,22 +167,62 @@ def enumerate_all(n: int, q: int, *, budget: Optional[int] = None) -> Iterator[T
 # the walker and the parallel driver
 
 
-def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0) -> Iterator[tuple]:
-    """Every spec of order <= n_max, depth first, as the tuple
-    ``(order, lex index, rows, nullity string, child nullities)``.
+def _group(q: int, n_max: int) -> List[tuple]:
+    """G as digit tables for orders <= n_max: (t, c, lam) sends a_0 to
+    root[a_0] = c a_0 and the pair (a_k, b_k), coded a_k q + b_k, to
+    pairs[k % (q-1)][code], the code of (c lam^-k a_k, c lam^k b_k),
+    swapped when t is 1 (transpose, scaling, diagonal similarity)."""
+    group = []
+    for t, c, lam in itertools.product((0, 1), range(1, q), range(1, q)):
+        pairs = []
+        for k in range(min(q - 1, n_max + 1)):
+            up, down = c * pow(lam, -k, q) % q, c * pow(lam, k, q) % q
+            images = [(up * x % q, down * y % q) for x in range(q) for y in range(q)]
+            pairs.append([y * q + x if t else x * q + y for x, y in images])
+        group.append(([c * x % q for x in range(q)], pairs))
+    return group
 
-    Rows are those of ``toeplitz.engine(q)`` and are shared with
-    siblings: read them, never change them.  Child nullities are in
-    (a_new, b_new) order and empty at order n_max.  In preorder the last
-    spec yielded one order up is the parent.  With ``0 <= split <
-    n_max`` the walk enters only the order-``split`` specs whose index
-    lies in [lo, hi) and, unless ``lo`` is 0, only the ancestors they
-    need.  Before a spec whose index is a multiple of RANK_CHECK_STRIDE
-    is yielded, its children are re-ranked from scratch; a mismatch
-    raises :class:`RankCrossCheckError`.
-    """
+
+def _check_orbit(q: int, group: List[tuple], m: int, index: int, nu: int,
+                 weight: int) -> None:
+    """Expand the orbit of the order-m spec at ``index`` from the digit
+    tables: it must have ``weight`` members, the spec must be the least,
+    and every member must have nullity ``nu`` from scratch."""
+    digits = tuple(index // q ** k % q for k in range(2 * m, -1, -1))
+    codes = [x * q + y for x, y in zip(digits[1::2], digits[2::2])]
+    orbit = {(root[digits[0]], *itertools.chain(*(divmod(pairs[k % (q - 1)][p], q)
+                                                  for k, p in enumerate(codes, 1))))
+             for root, pairs in group}
+    eng = engine(q)
+    nus = {m + 1 - eng.rank(eng.rows(*_digits_to_ab(image))) for image in orbit}
+    if len(orbit) != weight or min(orbit) != digits or nus != {nu}:
+        raise OrbitCrossCheckError(m, index, (
+            f"the order-{m} spec at index {index} has orbit size {weight} and nullity {nu} in "
+            f"the walk, but its orbit has {len(orbit)} members, least {min(orbit)}, of "
+            f"nullities {sorted(nus)}"))
+
+
+def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
+         group: Optional[List[tuple]] = None) -> Iterator[tuple]:
+    """The lex-least spec of each orbit of ``group`` (by default the
+    identity: every spec) of order <= n_max, depth first, as ``(order,
+    lex index, rows, nullity string, child nullities, orbit size)``.
+
+    Rows are ``toeplitz.engine(q)``'s, shared with siblings: never change
+    them.  Child nullities cover all q^2 children in (a_new, b_new) order
+    and are empty at order n_max.  In preorder the last spec yielded one
+    order up is the parent.  With ``0 <= split < n_max`` the walk enters
+    only the order-``split`` specs whose index lies in [lo, hi) and,
+    unless ``lo`` is 0, only the ancestors they need.  ``group`` (from
+    :func:`_group`) acts pair by pair and lex order compares prefixes
+    first, so a spec is least in its orbit exactly when its parent is
+    and its last pair p has p <= g(p) for each g in the parent's
+    stabiliser; the g with g(p) = p make the child's.  A spec with
+    children whose index is a multiple of RANK_CHECK_STRIDE has them
+    re-ranked and its orbit checked (:func:`_check_orbit`) first."""
     eng = engine(q)
     children, q2 = eng.children, q * q
+    group = group or [(range(q), [range(q2)] * (q - 1))]  # the identity alone
 
     def inside(node: tuple) -> bool:
         m, index = node[0], node[1]
@@ -181,25 +231,36 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0) -> Itera
         width = q2 ** (split - m)
         return index * width < hi and (index + 1) * width > lo
 
-    roots = [eng.rows((a0,), ()) for a0 in range(q)]
-    stack = [(0, a0, rows, (1 - eng.rank(rows),)) for a0, rows in enumerate(roots)]
-    stack = list(filter(inside, reversed(stack)))
+    roots = [(a0, eng.rows((a0,), ())) for a0 in range(q - 1, -1, -1)
+             if all(a0 <= g[0][a0] for g in group)]
+    stack = list(filter(inside, [(0, a0, rows, (1 - eng.rank(rows),),
+                                  [g for g in group if g[0][a0] == a0]) for a0, rows in roots]))
     while stack:
-        m, index, rows, string = stack.pop()
+        m, index, rows, string, stab = stack.pop()
+        weight = len(group) // len(stab)
         if m == n_max:
-            yield m, index, rows, string, ()
+            yield m, index, rows, string, (), weight
             continue
         kids, nus = children(rows)
         if not index % RANK_CHECK_STRIDE:
             _check_ranks(q, kids, nus, m, index)
-        yield m, index, rows, string, nus
+            if len(group) > 1:
+                _check_orbit(q, group, m, index, string[-1], weight)
+        yield m, index, rows, string, nus, weight
         m += 1
         base = index * q2
-        if m == n_max:  # leaves go out at once instead of through the stack
+        if len(stab) > 1:
+            tables = [(g, g[1][m % (q - 1)]) for g in stab]
+            batch = [(m, base + k, kids[k], string + (nus[k],),
+                      [g for g, t in tables if t[k] == k])
+                     for k in range(q2 - 1, -1, -1) if all(k <= t[k] for _, t in tables)]
+        elif m == n_max:  # leaves go out at once instead of through the stack
             for k in range(q2):
-                yield m, base + k, kids[k], string + (nus[k],), ()
+                yield m, base + k, kids[k], string + (nus[k],), (), weight
             continue
-        batch = [(m, base + k, kids[k], string + (nus[k],)) for k in range(q2 - 1, -1, -1)]
+        else:
+            batch = [(m, base + k, kids[k], string + (nus[k],), stab)
+                     for k in range(q2 - 1, -1, -1)]
         stack += batch if m > split else filter(inside, batch)
 
 
@@ -271,19 +332,18 @@ def extension_census(spec: ToeplitzSpec) -> Dict[int, int]:
 
 
 def _count_scan(args: tuple) -> List[List[int]]:
-    """Counts by nullity per order; a nullity outside 0..m+1 at order m
-    can only come from the parent's ``children``, and raises
-    :class:`RankCrossCheckError` against a from-scratch rank."""
+    """Counts by nullity per order, each walked spec counted for its
+    orbit; a nullity outside 0..m+1 at order m can only come from the
+    parent's ``children``, and is re-ranked from scratch."""
     q, n_max, split, lo, hi = args
     own = split if lo else 0
     counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    for m, index, rows, string, _ in walk(q, n_max, split, lo, hi):
+    for m, index, rows, string, _, weight in walk(*args, _group(q, n_max)):
         if m >= own:
             nu = string[-1]
             if not 0 <= nu <= m + 1:
-                raise RankCrossCheckError(m - 1, index // (q * q), *divmod(index % (q * q), q),
-                                          nu, m + 1 - engine(q).rank(rows))
-            counts[m][nu] += 1
+                _recheck(q, m, index, rows, nu)
+            counts[m][nu] += weight
     return counts
 
 
@@ -295,10 +355,15 @@ def _add_counts(into: List[List[int]], part: List[List[int]]) -> None:
 
 def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> CountTable:
-    """Exact N(m, nu) for all m <= n_max by enumerating every spec."""
+    """Exact N(m, nu) for all m <= n_max by enumerating every spec, one
+    orbit of G at a time; each order's counts must add up to q^(2m+1)."""
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
     counts = _run(_count_scan, _add_counts, q, n_max, jobs)
+    for m, row in enumerate(counts):
+        if sum(row) != q ** (2 * m + 1):
+            raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
+                                       f"{sum(row)}, not {q}^{2 * m + 1}")
     return CountTable(q=q, counts=tuple(tuple(row) for row in counts))
 
 
@@ -308,9 +373,13 @@ def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int,
         raise ValueError(f"order must be a positive integer, got {n!r}")
     _require_budget(n, 2, budget)
     ends = [0, 0]
-    for m, _, _, string, _ in walk(2, n):
+    for m, index, rows, string, _, weight in walk(2, n, group=_group(2, n)):
         if m == n and string[-1] == 0:
-            ends[string[-2]] += 1
+            if not 0 <= string[-2] <= 1:  # one of the two nullities is wrong
+                _recheck(2, m, index, rows, 0)
+                parent = engine(2).rows(*_index_to_ab(index // 4, m - 1, 2))
+                _recheck(2, m - 1, index // 4, parent, string[-2])
+            ends[string[-2]] += weight
     return ends[0], ends[1]
 
 
@@ -517,7 +586,7 @@ def realized_nullity_strings(n_max: int, q: int, *,
     """Every nullity string realized by some spec of order <= n_max."""
     _check_params(n_max, q)
     _require_budget(n_max, q, budget)
-    return {string for _, _, _, string, _ in walk(q, n_max)}
+    return {node[3] for node in walk(q, n_max, group=_group(q, n_max))}
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +646,7 @@ def _verify_scan(args: tuple) -> _Tally:
         if not index % PREDICATE_CHECK_STRIDE:
             _cross_check(tally, name, ok, m, index, run_start)
 
-    for m, index, rows, string, child_nus in walk(q, n_max, split, lo, hi):
+    for m, index, rows, string, child_nus, _ in walk(q, n_max, split, lo, hi):
         nu = string[-1]
         if child_nus and m >= own:
             tally.census(string[-2] if m else 0, nu, child_nus, m, index)
@@ -629,13 +698,14 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
 
     # the order-0 start: census of the first nullity over the q diagonal digits
     eng = engine(q)
-    start_census = dict(Counter(1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)))
+    nus = [1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)]
     start = Check(START_RULE, checked=1, expected_offsets={0: q - 1, 1: 1})
-    if start_census != start.expected_offsets:
+    if dict(Counter(nus)) != start.expected_offsets:
+        a0 = next(a0 for a0, nu in enumerate(nus) if nu != (a0 == 0))
         start.failures = 1
         start.counterexample = Counterexample(
-            order=0, a=(), b=(), index=0,
-            detail=f"start census {start_census} != expected {start.expected_offsets}")
+            order=0, a=(a0,), b=(), index=a0,
+            detail=f"start census {dict(Counter(nus))} != expected {start.expected_offsets}")
     rules = _rule_report(tally)
     rules.checks[START_RULE] = start
     names = sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))

@@ -775,16 +775,67 @@ def test_an_impossible_nullity_fails_the_brute_force_scan(capsys, monkeypatch, j
             "by shared elimination but 1 from scratch\n")
 
 
+@pytest.mark.parametrize("q, n", [("3", "4"), ("5", "3")])
+def test_brute_force_reports_are_identical_at_any_jobs(capsys, q, n):
+    # the orbit-reduced scan splits by index ranges; only the echoed jobs differ
+    for command in ("table", "spectrum"):
+        argv = (command, "--n", n, "--q", q, "--check-brute-force", "--format", "json")
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        assert (code, err) == (EXIT_OK, "") and '"jobs": 1,' in out
+        for jobs in ("2", "7"):
+            assert run(capsys, *argv, "--jobs", jobs) == (
+                EXIT_OK, out.replace('"jobs": 1,', f'"jobs": {jobs},'), "")
+
+
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="workers must inherit the injected fault")
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
+def test_a_broken_symmetry_table_fails_the_brute_force_scan(capsys, monkeypatch, jobs):
+    # transpose made to fix the pair (a_k, b_k) = (0, 1): specs holding it
+    # are walked with orbit size 1, not 2, so their order comes up short
+    real = enumeration._group
+
+    def group(q, n_max):
+        tables = real(q, n_max)
+        tables[1][1][0][1] = 1  # element 1 is transpose; one table at q = 2
+        return tables
+
+    monkeypatch.setattr(enumeration, "_group", group)
+    for argv in (["table", "--n", "3"], ["spectrum", "--n", "2"]):
+        assert run(capsys, *argv, "--q", "2", "--check-brute-force", "--jobs", jobs) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: orbit cross-check failed: the orbit "
+            "sizes of order 1 add up to 6, not 2^3\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
+def test_an_orbit_member_of_another_nullity_fails_the_brute_force_scan(
+        capsys, monkeypatch, jobs):
+    # the order-2 GF(3) spec at index 128, digits (1, 1, 2, 0, 2), is a
+    # stride spec; its transpose (1, 2, 1, 2, 0) is made to claim rank 2
+    eng = toeplitz.engine(3)
+    member = eng.rows((1, 2, 2), (1, 0))
+    real = type(eng).rank
+    monkeypatch.setattr(type(eng), "rank",
+                        lambda self, rows: 2 if rows == member else real(self, rows))
+    for argv in (["table", "--n", "3"], ["spectrum", "--n", "3"]):
+        assert run(capsys, *argv, "--q", "3", "--check-brute-force", "--jobs", jobs) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: orbit cross-check failed: the "
+            "order-2 spec at index 128 has orbit size 8 and nullity 0 in the walk, but its "
+            "orbit has 8 members, least (1, 1, 2, 0, 2), of nullities [0, 1]\n")
+
+
 def test_a_predicate_refusing_a_replayed_spec_fails_its_cross_check(capsys, monkeypatch):
     # the all-zero order-3 spec claims a plateau (4, 4); its replay of
     # nullities (3, 4) is not one, and that is the scan's fault, not the input's
     real = enumeration.walk
 
     def walk(*args):
-        for m, index, rows, string, nus in real(*args):
+        for m, index, rows, string, nus, weight in real(*args):
             if (m, index) == (3, 0):
                 string = string[:-2] + string[-1:] * 2
-            yield m, index, rows, string, nus
+            yield m, index, rows, string, nus, weight
 
     monkeypatch.setattr(enumeration, "walk", walk)
     code, payload = run_json(capsys, "verify", "--n", "3", "--q", "2")

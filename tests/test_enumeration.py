@@ -33,7 +33,7 @@ from toepnull import (
 )
 from toepnull import cli, enumeration, kernel_structure
 from toepnull.enumeration import MAX_JOBS, _Tally, walk
-from toepnull.toeplitz import engine
+from toepnull.toeplitz import engine, gfq_rows
 
 from prefix_oracle import scratch_nullity_string
 
@@ -75,7 +75,8 @@ def test_walk_matches_per_spec_measurements(n, q):
     eng = engine(q)
     specs = {m: list(enumerate_all(m, q)) for m in range(n + 1)}
     seen = {m: [] for m in range(n + 1)}
-    for m, index, rows, string, child_nus in walk(q, n):
+    for m, index, rows, string, child_nus, weight in walk(q, n):
+        assert weight == 1
         seen[m].append(index)
         spec = specs[m][index]
         assert rows == eng.rows(spec.a, spec.b)
@@ -91,8 +92,8 @@ def test_walk_matches_per_spec_measurements(n, q):
 @pytest.mark.parametrize("q", (2, 3, 13))
 def test_order_zero_scans_stop_at_the_roots(q):
     # only a_0 = 0 gives a singular 1 x 1 matrix; roots have no children
-    nodes = [(m, index, string, nus) for m, index, _, string, nus in walk(q, 0)]
-    assert nodes == [(0, a0, (int(a0 == 0),), ()) for a0 in range(q)]
+    nodes = [(m, index, string, nus, w) for m, index, _, string, nus, w in walk(q, 0)]
+    assert nodes == [(0, a0, (int(a0 == 0),), (), 1) for a0 in range(q)]
     assert brute_force_table(0, q).counts == ((q - 1, 1),)
     assert realized_nullity_strings(0, q) == {(0,), (1,)}
     rules, structure = verify_exhaustive(0, q)
@@ -109,18 +110,102 @@ def test_start_census_failure_is_reported(monkeypatch):
     start = rules.checks["start"]
     assert (start.checked, start.failures, rules.passed) == (1, 1, False)
     assert rules.counterexample == start.counterexample == Counterexample(
-        order=0, a=(), b=(), index=0,
+        order=0, a=(0,), b=(), index=0,
         detail="start census {0: 3} != expected {0: 2, 1: 1}")
     assert structure.passed
 
 
 def test_walk_preorder_parent_is_last_node_one_order_up():
     last = {}
-    for m, index, _, string, _ in walk(3, 2):
+    for m, index, _, string, _, _ in walk(3, 2):
         if m:
             parent_index, parent_string = last[m - 1]
             assert index // 9 == parent_index and string[:-1] == parent_string
         last[m] = (index, string)
+
+
+# ---------------------------------------------------------------------------
+# the orbit-reduced walk against the full walk (the trivial group)
+
+
+def full_walk_counts(q, n):
+    counts = [[0] * (m + 2) for m in range(n + 1)]
+    for m, _, _, string, _, _ in walk(q, n):
+        counts[m][string[-1]] += 1
+    return tuple(map(tuple, counts))
+
+
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 3), (5, 2), (7, 2), (11, 1), (13, 1)])
+def test_reduced_counts_match_the_full_walk(q, n):
+    assert brute_force_table(n, q).counts == full_walk_counts(q, n)
+
+
+def test_reduced_theta_eta_and_strings_match_the_full_walk():
+    for n in range(1, 7):
+        ends = [0, 0]
+        for m, _, _, string, _, _ in walk(2, n):
+            if m == n and string[-1] == 0:
+                ends[string[-2]] += 1
+        assert brute_force_theta_eta(n) == tuple(ends)
+    for q in (2, 3):
+        for n in range(5):
+            assert realized_nullity_strings(n, q) == {node[3] for node in walk(q, n)}
+
+
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 3), (5, 2), (7, 1), (13, 1)])
+def test_orbit_sizes_of_each_order_add_up(q, n):
+    group = enumeration._group(q, n)
+    assert len(group) == 2 * (q - 1) ** 2
+    sizes = Counter()
+    for m, _, _, _, _, weight in walk(q, n, group=group):
+        sizes[m] += weight
+    assert sizes == {m: q ** (2 * m + 1) for m in range(n + 1)}
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_reduced_walk_visits_the_least_spec_of_each_orbit(q, n):
+    # orbits straight from the matrices: c T, D T D^-1 with D = diag(lam^i),
+    # and transposes; a matrix is looked up to find its spec's lex index
+    walked = {(m, index): weight
+              for m, index, *_, weight in walk(q, n, group=enumeration._group(q, n))}
+    expected = {}
+    for m in range(n + 1):
+        index_of = {tuple(map(tuple, gfq_rows(s.a, s.b))): i
+                    for i, s in enumerate(enumerate_all(m, q))}
+        for mat, i in index_of.items():
+            orbit = set()
+            for t, c, lam in itertools.product((0, 1), range(1, q), range(1, q)):
+                img = [[c * pow(lam, r - s, q) * x % q for s, x in enumerate(row)]
+                       for r, row in enumerate(mat)]
+                orbit.add(index_of[tuple(zip(*img)) if t else tuple(map(tuple, img))])
+            if min(orbit) == i:
+                expected[m, i] = len(orbit)
+    assert walked == expected
+
+
+def test_a_stride_spec_gets_both_cross_checks(monkeypatch):
+    # every walked spec with children whose index is a multiple of the
+    # stride has its children re-ranked and its orbit expanded, at any jobs
+    stride = [(m, index) for m, index, *_ in walk(3, 4, group=enumeration._group(3, 4))
+              if m < 4 and not index % enumeration.RANK_CHECK_STRIDE]
+    ranked, orbits = [], []
+    monkeypatch.setattr(enumeration, "_check_ranks",
+                        lambda q, kids, nus, m, index: ranked.append((m, index)))
+    real = enumeration._check_orbit
+    monkeypatch.setattr(enumeration, "_check_orbit",
+                        lambda *args: orbits.append(args[2:4]) or real(*args))
+    brute_force_table(4, 3)
+    assert ranked == orbits == stride and len(stride) >= 3
+    # ranges in-process: ancestors are walked again, every stride spec at least once
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    ranked.clear()
+    orbits.clear()
+    brute_force_table(4, 3, jobs=7)
+    assert set(ranked) == set(orbits) == set(stride)
+    ranked.clear()
+    orbits.clear()
+    verify_exhaustive(2, 3)  # the full walk has no orbits to expand
+    assert orbits == [] and ranked == [(0, 0), (1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +644,36 @@ def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
             verify_exhaustive(3, 5, jobs=jobs)
         errors.append(exc.value.args)
     assert errors[0] == errors[1] and errors[0][:4] == (2, 256, 4, 4)
+
+
+def fault_child(monkeypatch, m, index, k, value):
+    """Make the packed engine report child k of the order-m GF(2) spec at
+    ``index`` with nullity ``value``."""
+    target = engine(2).rows(*enumeration._index_to_ab(index, m, 2))
+    real = type(engine(2)).children
+
+    def children(self, rows):
+        kids, nus = real(self, rows)
+        if rows == target:
+            nus[k] = value
+        return kids, nus
+
+    monkeypatch.setattr(type(engine(2)), "children", children)
+
+
+def test_an_impossible_pair_fails_the_theta_eta_scan(monkeypatch):
+    # child (0, 0) of the order-2 spec at index 1 claims nullity 0 after
+    # its parent's 2; that used to index past the two ends
+    fault_child(monkeypatch, 2, 1, 0, 0)
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_theta_eta(3)
+    assert exc.value.args == (2, 1, 0, 0, 0, 2)
+    # a parent claiming -1 over a true nullity-0 leaf used to wrap to ends[1]
+    monkeypatch.undo()
+    fault_child(monkeypatch, 1, 3, 0, -1)
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_theta_eta(3)
+    assert exc.value.args == (1, 3, 0, 0, -1, 1)
 
 
 # ---------------------------------------------------------------------------
