@@ -374,7 +374,11 @@ def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int,
     _require_budget(n, 2, budget)
     ends = [0, 0]
     for m, index, rows, string, _, weight in walk(2, n, group=_group(2, n)):
-        if m == n and string[-1] == 0:
+        if m < n:
+            continue
+        if not 0 <= string[-1] <= n + 1:  # a misreported leaf, as in _count_scan
+            _recheck(2, m, index, rows, string[-1])
+        if string[-1] == 0:
             if not 0 <= string[-2] <= 1:  # one of the two nullities is wrong
                 _recheck(2, m, index, rows, 0)
                 parent = engine(2).rows(*_index_to_ab(index // 4, m - 1, 2))

@@ -5,7 +5,11 @@ anything else instead of reducing it silently.
 
 The modulus is capped at DEFAULT_MAX_Q = 13.  Everything downstream of
 this module leans on exhaustive verification over all of GF(q)^k, and a
-small cap keeps "exhaustive" honest.
+small cap keeps "exhaustive" honest.  The cap also bounds the byte-lane
+engine in ``toeplitz``, which keeps one digit per byte and needs
+q^2 < 256 so that u*q + v never carries into the next byte; it asserts
+DEFAULT_MAX_Q ** 2 < 256 on import, so a cap above 15 fails there
+instead of corrupting lanes.
 """
 
 from __future__ import annotations

@@ -10,28 +10,29 @@ too).  The nullity string of a spec lists the kernel dimension of every
 embedded prefix; one elimination, bordered by a row and a column per
 order, gives all of them.
 
-Two elimination engines implement the same exact arithmetic, each
-building an echelon form row by row in a dict keyed by pivot column:
+Two elimination engines implement the same exact arithmetic on rows
+packed into one integer each, building an echelon form row by row in a
+dict keyed by pivot column:
 
-* dense row lists modulo any prime q, and
-* a GF(2) fast path packing each row into one integer, least
-  significant bit = column 0, eliminating with word-wide xors.
+* byte lanes modulo any prime q: entry j in byte j, where one
+  ``bytes.translate`` maps every entry of a row at once, and
+* a GF(2) fast path: entry j in bit j, eliminating with word-wide xors.
 
 :func:`engine` picks one of them for a modulus and puts both behind one
-interface, which every caller here and in ``enumeration`` goes through.
+interface, which every caller here and in ``enumeration`` goes through;
+entry tuples appear only at its ``vectors`` and the public functions.
 Both reduce kernels to the same canonical form: the unique reduced
 echelon basis with leading entry 1 at the lowest possible index and
-rows ordered by pivot.  Equal subspaces therefore compare equal as
-plain tuples.
+rows ordered by pivot.  Equal subspaces therefore compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple, Union
 
-from .field import PrimeField, element_value
+from .field import DEFAULT_MAX_Q, PrimeField, element_value
 
 Vector = Tuple[int, ...]
 
@@ -116,105 +117,113 @@ def unpack_bits(bits: int, width: int) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# generic engine, any prime modulus
+# byte-lane engine, any prime modulus up to DEFAULT_MAX_Q: entries lie in
+# [0, q) and q^2 <= 256, so byte j of u*q + v is u_j*q + v_j, no carry
+
+assert DEFAULT_MAX_Q ** 2 < 256, "lanes of u*q + v would carry"
 
 
-def gfq_rows(a: Sequence[int], b: Sequence[int]) -> List[List[int]]:
-    """Dense rows of the spec'd matrix."""
+@lru_cache(maxsize=None)
+def _lane_tables(q: int) -> Tuple[bytes, ...]:
+    """Translate tables on the bytes u*q + v: table f < q gives (u - f v)
+    mod q, table q gives u v mod q, table q + f gives v / f mod q at u = 0."""
+    pairs = [divmod(x, q) for x in range(256)]  # bytes from q^2 on never occur
+    return (*(bytes((u - f * v) % q for u, v in pairs) for f in range(q)),
+            bytes(u * v % q for u, v in pairs),
+            *(bytes(x * pow(f, -1, q) % q for x in range(256)) for f in range(1, q)))
+
+
+def _lanewise(table: bytes, u: int, v: int, q: int, w: int) -> int:
+    """``table[u_j q + v_j]`` in every lane j < w."""
+    return int.from_bytes((u * q + v).to_bytes(w, "little").translate(table), "little")
+
+
+def gfq_rows(a: Sequence[int], b: Sequence[int]) -> List[bytes]:
+    """Rows of the spec'd matrix as bytes, entry j = byte j: digit rows
+    for ``gfq_rank``, and the lanes of the engine's rows."""
     n = len(a) - 1
-    return [
-        [a[j - i] if j >= i else b[i - j - 1] for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
+    diagonals = bytes(b[::-1]) + bytes(a)  # entry (i, j) is diagonals[n + j - i]
+    return [diagonals[n - i:2 * n + 1 - i] for i in range(n + 1)]
 
 
-def gfq_rank(rows: Iterable[Sequence[int]], q: int) -> int:
-    """Rank modulo q by elimination, pivot = first nonzero column."""
-    return len(_gfq_pivots(rows, q))
+def gfq_rank(rows: Iterable[Union[int, Sequence[int]]], q: int) -> int:
+    """Rank modulo q by lane elimination, pivot = lowest nonzero lane.
+    A row is a lane int or a sequence of digits in [0, q)."""
+    return len(_lane_pivots([r if isinstance(r, int) else int.from_bytes(r, "little")
+                             for r in rows], q))
 
 
-def _gfq_residual(v: Sequence[int], echelon: Iterable[Tuple[int, List[int]]],
-                  q: int) -> Sequence[int]:
-    """``v`` reduced by echelon rows, given as (pivot column, row) pairs
-    whose row has entry 1 at its pivot column and 0 at the pivot columns
-    of the pairs before it: 0 in every pivot column, and 0 everywhere
-    exactly when ``v`` lies in their span."""
-    for c, row in echelon:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % q for x, y in zip(v, row)]
-    return v
-
-
-def _gfq_pivots(rows: Iterable[Sequence[int]], q: int) -> dict:
-    """Echelon form of dense rows modulo q, keyed by each row's pivot
-    column: the row has entry 1 there and 0 before it and at the pivot
-    columns stored before it, as ``_gfq_residual`` takes them.  Reads
-    ``rows`` without changing them."""
+def _lane_pivots(rows: List[int], q: int) -> dict:
+    """Echelon form of lane rows modulo q, keyed by each row's lowest
+    nonzero lane, which no other row shares; the row has entry 1 there."""
+    sub, w = _lane_tables(q), max(rows, default=0).bit_length() + 7 >> 3
     piv: dict = {}
     for r in rows:
-        r = _gfq_residual(r, piv.items(), q)
-        c = next(filter(r.__getitem__, range(len(r))), None)
-        if c is not None:
-            inv = pow(r[c], q - 2, q)
-            piv[c] = [x * inv % q for x in r]
+        while r:
+            shift = (r & -r).bit_length() - 1 & ~7
+            f, c = r >> shift & 255, shift >> 3
+            if c not in piv:
+                piv[c] = int.from_bytes(r.to_bytes(w, "little").translate(sub[q + f]), "little")
+                break
+            r = int.from_bytes((r * q + piv[c]).to_bytes(w, "little").translate(sub[f]), "little")
     return piv
 
 
-def gfq_rref(rows: Iterable[Sequence[int]], q: int) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form modulo q.
+def _lane_residual(v: int, echelon: Iterable[Tuple[int, int]], q: int, w: int) -> int:
+    """``v`` reduced by (pivot lane, row) pairs in increasing pivot order,
+    each row with entry 1 at its pivot lane and 0 below it: 0 in every
+    pivot lane, and 0 exactly when ``v`` lies in their span."""
+    sub = _lane_tables(q)
+    for c, row in echelon:
+        if f := v >> 8 * c & 255:
+            v = int.from_bytes((v * q + row).to_bytes(w, "little").translate(sub[f]), "little")
+    return v
 
-    Returns (rows, pivots): the nonzero reduced rows ordered by pivot
-    column and the matching pivot columns.  Does not modify the input.
-    """
-    echelon = sorted(_gfq_pivots(rows, q).items())
-    # bottom up, reduce each row by the already reduced rows below it
-    for i in range(len(echelon) - 2, -1, -1):
+
+def gfq_rref(rows: List[int], q: int) -> Tuple[List[int], List[int]]:
+    """Reduced echelon form of lane rows modulo q: the nonzero reduced
+    rows ordered by pivot lane, and the matching pivot lanes."""
+    echelon = sorted(_lane_pivots(rows, q).items())
+    w = max(rows, default=0).bit_length() + 7 >> 3
+    for i in range(len(echelon) - 2, -1, -1):  # bottom up, by the reduced rows below
         c, row = echelon[i]
-        echelon[i] = c, _gfq_residual(row, echelon[i + 1:], q)
+        echelon[i] = c, _lane_residual(row, echelon[i + 1:], q, w)
     return [row for _, row in echelon], [c for c, _ in echelon]
 
 
-def gfq_nullspace(rows: Sequence[Sequence[int]], q: int) -> List[Vector]:
-    """Kernel basis from the reduced echelon form (one vector per free column)."""
-    ncols = len(rows[0]) if rows else 0
+def gfq_nullspace(rows: List[int], q: int, width: int) -> List[int]:
+    """Canonical lane kernel basis of a matrix with ``width`` columns."""
     reduced, pivots = gfq_rref(rows, q)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-reduced[i][free]) % q
-        basis.append(tuple(v))
-    return basis
+    for free in sorted(set(range(width)) - set(pivots)):
+        v = 1 << 8 * free
+        for row, p in zip(reduced, pivots):
+            v |= -(row >> 8 * free & 255) % q << 8 * p
+        basis.append(v)
+    # the free-column basis is not echelon in general; normalize it
+    return gfq_rref(basis, q)[0]
 
 
-def _directions(r0: List[int], r1: List[int], q: int) -> List[Optional[Vector]]:
-    """For d = 0..q-1 the vector r0 + d (r1 - r0) scaled to leading entry
-    1, or None when it is 0; two vectors are dependent exactly when
-    either is None or both are equal."""
-    out: List[Optional[Vector]] = []
-    for d in range(q):
-        v = [(x + d * (y - x)) % q for x, y in zip(r0, r1)]
-        lead = next((x for x in v if x), 0)
-        if lead:
-            inv = pow(lead, q - 2, q)
-            out.append(tuple(x * inv % q for x in v))
-        else:
-            out.append(None)
+def _directions(r0: int, r1: int, q: int, w: int) -> List[int]:
+    """For d = 0..q-1 the lane vector r0 + d (r1 - r0) scaled to leading
+    entry 1, or 0 when it is 0; two vectors are dependent exactly when
+    either is 0 or both are equal."""
+    sub = _lane_tables(q)
+    pair = (r0 * q + _lanewise(sub[1], r1, r0, q, w)).to_bytes(w, "little")
+    out = []
+    for v in (pair.translate(sub[-d % q]) for d in range(q)):
+        lead = v.lstrip(b"\0")[:1]
+        out.append(int.from_bytes(v.translate(sub[q + lead[0]]), "little") if lead else 0)
     return out
 
 
 def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector, ...]:
-    """The unique reduced-echelon basis of span(vectors).
-
-    Two collections span the same subspace exactly when their canonical
-    forms are equal, so subspace comparison is tuple comparison.
-    """
-    return tuple(tuple(row) for row in gfq_rref(vectors, q)[0])
+    """The unique reduced-echelon basis of span(vectors), as entry tuples:
+    two collections span the same subspace exactly when these are equal."""
+    vectors = [bytes(v) for v in vectors]
+    width = len(vectors[0]) if vectors else 0
+    reduced = gfq_rref([int.from_bytes(v, "little") for v in vectors], q)[0]
+    return tuple(tuple(row.to_bytes(width, "little")) for row in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -319,119 +328,108 @@ class _PackedGF2:
         return v & 1, (v >> (width - 1)) & 1
 
 
-class _DenseGFq:
-    """GF(q) on dense row lists; kernels are tuples of entry tuples."""
+@dataclass(frozen=True)
+class _LaneGFq:
+    """GF(q) on byte-lane rows; kernels are tuples of lane vectors."""
 
-    def __init__(self, q: int) -> None:
-        self.q = q
+    q: int
 
-    def rows(self, a: Sequence[int], b: Sequence[int]) -> List[List[int]]:
-        return gfq_rows(a, b)
+    def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
+        return [int.from_bytes(row, "little") for row in gfq_rows(a, b)]
 
-    def rank(self, rows: List[List[int]]) -> int:
+    def rank(self, rows: List[int]) -> int:
         return gfq_rank(rows, self.q)
 
-    def kernel(self, rows: List[List[int]]) -> Tuple[Vector, ...]:
-        return canonical_vectors(gfq_nullspace(rows, self.q), self.q)
+    def kernel(self, rows: List[int]) -> Tuple[int, ...]:
+        return tuple(gfq_nullspace(rows, self.q, len(rows)))
 
-    def vectors(self, kernel: Tuple[Vector, ...], width: int) -> Tuple[Vector, ...]:
-        return kernel
+    def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
+        return tuple(tuple(v.to_bytes(width, "little")) for v in kernel)
 
-    def children(self, rows: List[List[int]]) -> Tuple[List[List[List[int]]], List[int]]:
-        m, q = len(rows) - 1, self.q
-        tail = [[rows[i + 1][0], *rows[i]] for i in range(m)]  # as in _PackedGF2
-        heads = [[*rows[0], a_new] for a_new in range(q)]
-        lasts = [[b_new, *rows[m]] for b_new in range(q)]
+    def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
+        m, q, w = len(rows) - 1, self.q, len(rows) + 1
+        tail = [rows[i] << 8 | rows[i + 1] & 255 for i in range(m)]  # as in _PackedGF2
+        heads = [rows[0] | a_new << 8 * w - 8 for a_new in range(q)]
+        lasts = [rows[m] << 8 | b_new for b_new in range(q)]
         kids = [[head, *tail, last] for head in heads for last in lasts]
         # eliminate the shared tail once (as in _PackedGF2.children); a
         # residual is linear in the new digit, so two per end give all q
-        piv = _gfq_pivots(tail, q)
-        free = [c for c in range(m + 2) if c not in piv]
-        residuals = [_gfq_residual(v, piv.items(), q)
-                     for v in (heads[0], heads[1], lasts[0], lasts[1])]
-        # residuals vanish in the pivot columns, so the free ones hold them
-        h0, h1, l0, l1 = ([r[c] for c in free] for r in residuals)
-        hs, ls = _directions(h0, h1, q), _directions(l0, l1, q)
+        piv = sorted(_lane_pivots(tail, q).items())
+        h0, h1, l0, l1 = (_lane_residual(v, piv, q, w) for v in (*heads[:2], *lasts[:2]))
+        hs, ls = _directions(h0, h1, q, w), _directions(l0, l1, q, w)
         # rank of a child = rank of the tail + rank of its two residuals
-        return kids, [len(free) - (h is not None) - (l is not None) + (h is not None and h == l)
-                      for h in hs for l in ls]
+        return kids, [m + 2 - len(piv) - (h > 0) - (l > 0) + (h == l > 0) for h in hs for l in ls]
 
     def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        q = self.q
-        # pivot column -> (row of E, row of U), in the order _gfq_residual
-        # takes them; a row of U may be short, its missing entries are 0.
-        # A U row made at order k has k + 1 entries, and the zero rows stay
-        # in the order they were made, so a row is never shorter than the
-        # earlier zero row or pivot row subtracted from it below
-        piv: dict = {}
-        zeros: List[List[int]] = []  # rows of U whose row of E is 0
+        q, sub = self.q, _lane_tables(self.q)
+        piv: dict = {}  # pivot lane -> reduced row of E, as in _lane_pivots
+        ops: dict = {}  # pivot lane -> its row of U, lane i for row i of T
+        zeros: List[int] = []  # rows of U whose row of E is 0
+        col = row = 0  # column m above the diagonal, row m left of it
         out = []
         for m in range(len(a)):
-            col = a[m:0:-1]  # column m above the diagonal
+            w = m + 1
+            if m:
+                col, row = col << 8 | a[m], row << 8 | b[m - 1]
             # the new column: row i of E gains U_i . col
-            for e, u in piv.values():
-                e.append(sum(map(mul, u, col)) % q)
+            for c, u in ops.items():
+                if f := sum((u * q + col).to_bytes(w, "little").translate(sub[q])) % q:
+                    piv[c] |= f << 8 * m
             # the first zero row that gains a nonzero entry there, scaled
             # to 1, becomes its pivot and clears it from the other ones
             keep, rest = None, []
             for u in zeros:
-                f = sum(map(mul, u, col)) % q
-                if f:
+                if f := sum((u * q + col).to_bytes(w, "little").translate(sub[q])) % q:
                     if keep is None:
-                        inv = pow(f, q - 2, q)
-                        keep = [x * inv % q for x in u]
-                        piv[m] = [0] * m + [1], keep
+                        keep = ops[m] = _lanewise(sub[q + f], 0, u, q, w)
+                        piv[m] = 1 << 8 * m
                         continue
-                    u[:len(keep)] = [(x - f * y) % q for x, y in zip(u, keep)]
+                    u = _lanewise(sub[f], u, keep, q, w)
                 rest.append(u)
             zeros = rest
             # the new row, with U row e_m, reduced by the pivots
-            e, u = [*b[:m][::-1], a[0]], [0] * m + [1]
-            for p, (erow, urow) in piv.items():
-                f = e[p]
-                if f:
-                    e = [(x - f * y) % q for x, y in zip(e, erow)]
-                    u[:len(urow)] = [(x - f * y) % q for x, y in zip(u, urow)]
-            c = next(filter(e.__getitem__, range(m + 1)), None)
-            if c is None:
-                zeros.append(u)
+            e, u = row | a[0] << 8 * m, 1 << 8 * m
+            while e:
+                c = (e & -e).bit_length() - 1 >> 3
+                f = e >> 8 * c & 255
+                if c not in piv:
+                    piv[c], ops[c] = (_lanewise(sub[q + f], 0, x, q, w) for x in (e, u))
+                    break
+                e, u = _lanewise(sub[f], e, piv[c], q, w), _lanewise(sub[f], u, ops[c], q, w)
             else:
-                inv = pow(e[c], q - 2, q)
-                piv[c] = [x * inv % q for x in e], [x * inv % q for x in u]
+                zeros.append(u)
             out.append(len(zeros))
         return tuple(out)
 
-    def omega(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
-        return tuple(v + (0,) for v in kernel)
+    def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+        return kernel  # an appended zero lane changes no int
 
-    def sigma(self, kernel: Tuple[Vector, ...]) -> Tuple[Vector, ...]:
-        return tuple((0,) + v for v in kernel)
+    def sigma(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(v << 8 for v in kernel)
 
-    def span(self, vectors: Sequence[Vector]) -> Tuple[Vector, ...]:
-        return canonical_vectors(vectors, self.q)
+    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(gfq_rref(list(vectors), self.q)[0])
 
-    def ends(self, v: Vector, width: int) -> Tuple[int, int]:
-        return v[0], v[-1]
-
-
-_PACKED = _PackedGF2()
+    def ends(self, v: int, width: int) -> Tuple[int, int]:
+        return v & 255, v >> 8 * width - 8 & 255
 
 
-def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
-    """The elimination engine for GF(q): packed rows at q = 2, dense rows
-    otherwise.  This is the one place the representation is chosen.
+@lru_cache(maxsize=None)
+def engine(q: int) -> Union[_PackedGF2, _LaneGFq]:
+    """The elimination engine for GF(q), one cached instance per modulus:
+    bit-packed rows at q = 2, byte-lane rows otherwise.  This is the one
+    place the representation is chosen.
 
     ``rank`` eliminates its rows from scratch and only reads them;
-    ``kernel`` is canonical, in the engine's own vector form
-    (``vectors`` gives entry tuples); ``children`` gives the rows of the
-    q^2 one-step extensions in (a_new, b_new) order, read off the
-    parent's rows, and the nullity of each.  The children share all rows
-    but the first and the last, so ``children`` eliminates those m rows
-    once and reduces the q first-row and q last-row variants against
-    them: a child's rank is the shared rank plus the rank of its two
-    residuals.  That is exact elimination of the child's own rows, with
-    O(m) work per child; ``enumeration`` re-checks a stride of children
-    with ``rank``.
+    ``kernel`` is canonical, in the engine's own vector form (``vectors``
+    gives entry tuples); ``children`` gives the rows of the q^2 one-step
+    extensions in (a_new, b_new) order, read off the parent's rows, and
+    the nullity of each.  The children share all rows but the first and
+    the last, so ``children`` eliminates those m rows once and reduces
+    the q first-row and q last-row variants against them: a child's rank
+    is the shared rank plus the rank of its two residuals.  That is exact
+    elimination of the child's own rows, with O(m) work per child;
+    ``enumeration`` re-checks a stride of children with ``rank``.
 
     ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
     the leading block of the next, for ``nullity_string`` and for the
@@ -449,7 +447,7 @@ def engine(q: int) -> Union[_PackedGF2, _DenseGFq]:
     ``span`` is a canonical span and ``ends`` the first and last entry
     of a vector.
     """
-    return _PACKED if q == 2 else _DenseGFq(q)
+    return _PackedGF2() if q == 2 else _LaneGFq(q)
 
 
 # ---------------------------------------------------------------------------

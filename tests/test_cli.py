@@ -653,7 +653,7 @@ def test_jobs_and_budget_are_checked_without_a_scan(capsys, argv):
 def misreport_child_of_zero_spec(monkeypatch):
     """Make the shared elimination of both engines report a wrong nullity
     for the first child of every all-zero spec (lex index 0)."""
-    for cls in (toeplitz._PackedGF2, toeplitz._DenseGFq):
+    for cls in (toeplitz._PackedGF2, toeplitz._LaneGFq):
         def children(self, rows, real=cls.children):
             kids, nus = real(self, rows)
             if self.rank(rows) == 0:

@@ -676,6 +676,20 @@ def test_an_impossible_pair_fails_the_theta_eta_scan(monkeypatch):
     assert exc.value.args == (1, 3, 0, 0, -1, 1)
 
 
+def test_a_leaf_out_of_range_fails_the_theta_eta_scan(monkeypatch):
+    # the nullity-0 children of the order-2 spec at index 5 claim 5, past
+    # the 0..4 of an order-3 leaf; they used to drop out of both ends
+    eng = engine(2)
+    nus = eng.children(eng.rows(*enumeration._index_to_ab(5, 2, 2)))[1]
+    zero = [k for k, nu in enumerate(nus) if nu == 0]
+    assert zero
+    for k in zero:
+        fault_child(monkeypatch, 2, 5, k, 5)
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_theta_eta(3)
+    assert exc.value.args == (2, 5, *divmod(zero[0], 2), 5, 0)
+
+
 # ---------------------------------------------------------------------------
 # realized nullity strings
 

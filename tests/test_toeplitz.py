@@ -32,6 +32,8 @@ from toepnull.toeplitz import (
     unpack_bits,
 )
 
+from list_oracle import (list_children, list_kernel, list_prefix_nullities, list_rank,
+                         list_rows, list_rref, list_span)
 from prefix_oracle import scratch_nullity_string
 
 F2 = PrimeField(2)
@@ -55,7 +57,7 @@ def all_specs(n, q):
 
 
 def rows_of(spec):
-    return gfq_rows(spec.a, spec.b)
+    return [list(row) for row in gfq_rows(spec.a, spec.b)]
 
 
 def test_materialize_all_ones():
@@ -232,15 +234,17 @@ def test_engines_agree_on_random_specs(n, data):
     a = tuple(data.draw(st.integers(0, 1)) for _ in range(n + 1))
     b = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
     packed_rows = gf2_pack_rows(a, b)
-    assert gf2_rank(packed_rows) == gfq_rank(gfq_rows(a, b), 2)
+    assert gf2_rank(packed_rows) == gfq_rank(gfq_rows(a, b), 2) == list_rank(list_rows(a, b), 2)
     width = n + 1
-    # the packed engine emits the canonical basis directly; the generic
-    # engine's raw basis canonicalizes to the same one
+    # the packed engine emits the canonical basis; so do the lanes and the
+    # list oracle, and it is its own canonical form
     packed_kernel = tuple(
         unpack_bits(v, width) for v in gf2_nullspace(packed_rows, width)
     )
+    lanes = toeplitz._LaneGFq(2)
     assert packed_kernel == canonical_vectors(packed_kernel, 2)
-    assert packed_kernel == canonical_vectors(gfq_nullspace(gfq_rows(a, b), 2), 2)
+    assert packed_kernel == lanes.vectors(lanes.kernel(lanes.rows(a, b)), width)
+    assert packed_kernel == list_kernel(list_rows(a, b), 2, width)
 
 
 def test_unpack_bits_roundtrip():
@@ -405,12 +409,19 @@ def random_matrices(rng, q):
         yield gfq_rows(a + (rng.randrange(q),), b + (rng.randrange(q),))[1:-1]
 
 
+def unpack(lanes, width):
+    return [list(v.to_bytes(width, "little")) for v in lanes]
+
+
 def check_elimination(rows, q):
     width = len(rows[0]) if rows else 0
     before = [list(row) for row in rows]
     rank = gfq_rank(rows, q)
-    reduced, pivots = gfq_rref(rows, q)
-    assert [list(row) for row in rows] == before  # both only read their input
+    lanes = [int.from_bytes(bytes(row), "little") for row in rows]
+    assert gfq_rank(lanes, q) == rank
+    reduced, pivots = gfq_rref(lanes, q)
+    reduced = unpack(reduced, width)
+    assert [list(row) for row in rows] == before  # gfq_rank only reads its input
     assert len(reduced) == len(pivots) == rank
     # reduced echelon form: strictly increasing pivots, leading entry 1,
     # and zeros in every other row's pivot column
@@ -421,7 +432,7 @@ def check_elimination(rows, q):
     # the rref rows span every input row
     assert all(not any(reduced_by(v, reduced, pivots, q)) for v in rows)
     assert gfq_rank(list(zip(*rows)), q) == rank  # rank(A) == rank(A^T)
-    kernel = gfq_nullspace(rows, q)
+    kernel = unpack(gfq_nullspace(lanes, q, width), width)
     assert len(kernel) == width - rank
     assert gfq_rank(kernel, q) == len(kernel)
     assert all(sum(x * y for x, y in zip(row, v)) % q == 0 for v in kernel for row in rows)
@@ -448,3 +459,65 @@ def test_gfq_rank_counts_the_row_space(q):
                 for coeffs in itertools.product(range(q), repeat=len(rows))}
         assert q ** gfq_rank(rows, q) == len(span)
         check_elimination(rows, q)
+
+
+# ---------------------------------------------------------------------------
+# the byte-lane engine against the plain list elimination
+
+
+def test_engine_is_one_cached_instance_per_modulus():
+    for q in (2, 3, 5, 13):
+        assert engine(q) is engine(q)
+    assert engine(3) is not engine(5) and engine(3).q == 3
+
+
+def oracle_matrices(rng, q):
+    """Digit rows for the differential test: no rows; all-(q-1) specs
+    and rows of 0 and q-1, whose lanes reach byte q^2 - 1 in u*q + v;
+    square rows and the m x (m+2) rows a spec's children share, from
+    uniform, sparse and periodic digits."""
+    top = q - 1
+    yield []
+    for m in range(4):
+        yield list_rows((top,) * (m + 1), (top,) * m)
+    for _ in range(4):
+        k, width = rng.randrange(1, 9), rng.randrange(1, 12)
+        yield [[rng.choice((0, top)) for _ in range(width)] for _ in range(k)]
+    for _ in range(10):
+        m = rng.randrange(31)
+        a, b = random_digits(rng, q, m)
+        yield list_rows(a, b)
+        yield list_rows(a + (rng.randrange(q),), b + (rng.randrange(q),))[1:-1]
+
+
+def oracle_specs(rng, q):
+    top = q - 1
+    yield (top,), ()
+    yield (top,) * 6, (top,) * 5
+    for _ in range(12):
+        m = rng.randrange(2, 21)
+        yield (zero_prefix_digits if rng.random() < 0.25 else random_digits)(rng, q, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_lanes_match_the_list_oracle(q):
+    rng = random.Random(6000 + q)
+    lanes = toeplitz._LaneGFq(q)  # at q = 2 too, where engine(2) packs bits
+    for rows in oracle_matrices(rng, q):
+        width = len(rows[0]) if rows else 0
+        packed = [int.from_bytes(bytes(row), "little") for row in rows]
+        assert gfq_rank(rows, q) == gfq_rank(packed, q) == list_rank(rows, q)
+        reduced, pivots = gfq_rref(packed, q)
+        assert (unpack(reduced, width), pivots) == list_rref(rows, q)
+        assert canonical_vectors(rows, q) == list_span(rows, q)
+        kernel = list_kernel(rows, q, width)
+        assert tuple(map(tuple, unpack(gfq_nullspace(packed, q, width), width))) == kernel
+        if len(rows) == width:
+            assert lanes.vectors(lanes.kernel(packed), width) == kernel
+            assert lanes.rank(packed) == list_rank(rows, q)
+    for a, b in oracle_specs(rng, q):
+        kids, nus = lanes.children(lanes.rows(a, b))
+        assert nus == list_children(a, b, q)
+        assert [unpack(kid, len(a) + 1) for kid in kids] == [
+            list_rows(a + (a_new,), b + (b_new,)) for a_new in range(q) for b_new in range(q)]
+        assert lanes.prefix_nullities(a, b) == list_prefix_nullities(a, b, q)
