@@ -12,23 +12,25 @@ order come in lexicographic order of their digit tuples
 (a_0, a_1, b_1, ..., a_n, b_n).  Rows and ranks come from
 ``toeplitz.engine(q)``, whose ``children`` eliminates the rows a
 parent's q^2 children share once; each child's rank is still an exact
-elimination of its own rows.  The count, theta/eta and string scans
-walk only the lex-least spec of each orbit of the group G of transpose,
-scaling and diagonal similarity, which keeps every nullity string, and
-count it for its whole orbit; :func:`verify_exhaustive` walks every
-spec for the rule censuses and the kernel predicates.  As independent
-checks the walker re-ranks from scratch all children of every walked
-spec whose lex index is a multiple of RANK_CHECK_STRIDE and ranks each
-member of its orbit from scratch (the same specs at any worker count),
-and each order's orbit sizes must add up to q^(2m+1); a disagreement
-raises :class:`RankCrossCheckError`.
+elimination of its own rows.  Every exhaustive scan (counts,
+theta/eta, strings, and :func:`verify_exhaustive`'s rule censuses and
+kernel predicates) walks only the lex-least spec of each orbit of the
+group G of transpose, scaling and diagonal similarity, which keeps every
+nullity string, and counts it for its whole orbit; verify replays the
+orbit members whose lex index is a multiple of PREDICATE_CHECK_STRIDE.
+As independent checks the walker re-ranks from scratch all children of
+every walked spec whose lex index is a multiple of RANK_CHECK_STRIDE and
+ranks each member of its orbit from scratch (the same specs at any
+worker count), and each order's orbit sizes must add up to q^(2m+1); a
+disagreement raises :class:`RankCrossCheckError`.
 
 A budget guard keeps exhaustive work explicit: any scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
 with a ``budget`` argument) refuses up front rather than silently
 truncating.  ``jobs`` (at most MAX_JOBS) cuts a shallow level of the
-tree into index ranges; each worker walks from the root into its own
-ranges only, and the first range also owns the levels above.  Every
+tree into index ranges that hold equal shares of its walked specs; each
+worker walks from the root into its own ranges only, and the first
+range also owns the levels above.  Every
 tally merges associatively and counterexamples are ordered by (order,
 lex index), so reports are identical for any worker count.
 """
@@ -183,6 +185,14 @@ def _group(q: int, n_max: int) -> List[tuple]:
     return group
 
 
+def _least(stab: list, m: int, q: int) -> list:
+    """``(x, stabiliser)`` for each digit x at position m (a_0 at 0, the
+    pair code of (a_m, b_m) after it) that no element of ``stab`` lowers."""
+    tables = [(g, g[1][m % (q - 1)] if m else g[0]) for g in stab]
+    return [(x, [g for g, t in tables if t[x] == x]) for x in range(q * q if m else q)
+            if all(x <= t[x] for _, t in tables)]
+
+
 def _check_orbit(q: int, group: List[tuple], m: int, index: int, nu: int,
                  weight: int) -> None:
     """Expand the orbit of the order-m spec at ``index`` from the digit
@@ -231,10 +241,9 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
         width = q2 ** (split - m)
         return index * width < hi and (index + 1) * width > lo
 
-    roots = [(a0, eng.rows((a0,), ())) for a0 in range(q - 1, -1, -1)
-             if all(a0 <= g[0][a0] for g in group)]
-    stack = list(filter(inside, [(0, a0, rows, (1 - eng.rank(rows),),
-                                  [g for g in group if g[0][a0] == a0]) for a0, rows in roots]))
+    roots = [(a0, eng.rows((a0,), ()), stab) for a0, stab in reversed(_least(group, 0, q))]
+    stack = list(filter(inside, [(0, a0, rows, (1 - eng.rank(rows),), stab)
+                                 for a0, rows, stab in roots]))
     while stack:
         m, index, rows, string, stab = stack.pop()
         weight = len(group) // len(stab)
@@ -250,10 +259,8 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
         m += 1
         base = index * q2
         if len(stab) > 1:
-            tables = [(g, g[1][m % (q - 1)]) for g in stab]
-            batch = [(m, base + k, kids[k], string + (nus[k],),
-                      [g for g, t in tables if t[k] == k])
-                     for k in range(q2 - 1, -1, -1) if all(k <= t[k] for _, t in tables)]
+            batch = [(m, base + k, kids[k], string + (nus[k],), sub)
+                     for k, sub in reversed(_least(stab, m, q))]
         elif m == n_max:  # leaves go out at once instead of through the stack
             for k in range(q2):
                 yield m, base + k, kids[k], string + (nus[k],), (), weight
@@ -283,19 +290,24 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
     """Run ``scan((q, n_max, split, lo, hi))`` over the whole tree.
 
     Serially that is one call with no split.  Otherwise the split level
-    is cut into about 4 * jobs index ranges, a pool of at most ``jobs``
-    workers scans them, and ``merge(total, part)`` folds the parts in
-    range order.  A scan owns the specs of its range and their
-    descendants; the range starting at 0 also owns every shallower spec.
-    If ranges fail a rank cross-check, the failure first in the serial
-    walk's preorder is raised, the one a serial run would raise.
+    is cut into about 4 * jobs index ranges, each starting at a quantile
+    of the level's specs that are least in their orbits under G (the
+    specs the scans walk; ranges past their number are empty), a pool of
+    at most ``jobs`` workers scans them, and ``merge(total, part)`` folds
+    the parts in range order.  A scan owns the specs of its range and
+    their descendants; the range starting at 0 also owns every shallower
+    spec.  If ranges fail a rank cross-check, the failure first in the
+    serial walk's preorder is raised, the one a serial run would raise.
     """
     split = _split_depth(q, n_max, jobs)
     if split is None:
         return scan((q, n_max, -1, 0, 0))
-    width = q ** (2 * split + 1)
-    step = -(-width // min(4 * jobs, width))
-    args = [(q, n_max, split, lo, min(lo + step, width)) for lo in range(0, width, step)]
+    width, level = q ** (2 * split + 1), [(0, _group(q, split))]
+    for m in range(split + 1):
+        level = [(index * q * q + x, sub) for index, stab in level for x, sub in _least(stab, m, q)]
+    ranges, least = min(4 * jobs, width), [index for index, _ in level] + [width]
+    bounds = [0] + [least[-(-len(level) * i // ranges)] for i in range(1, ranges)] + [width]
+    args = [(q, n_max, split, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     parts, failures = [], []
     with Pool(min(jobs, len(args))) as pool:
         results = pool.imap(scan, args)
@@ -360,11 +372,16 @@ def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
     counts = _run(_count_scan, _add_counts, q, n_max, jobs)
-    for m, row in enumerate(counts):
-        if sum(row) != q ** (2 * m + 1):
-            raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
-                                       f"{sum(row)}, not {q}^{2 * m + 1}")
+    _check_sizes(q, [sum(row) for row in counts])
     return CountTable(q=q, counts=tuple(tuple(row) for row in counts))
+
+
+def _check_sizes(q: int, sizes: Sequence[int]) -> None:
+    """Raise unless the orbit sizes of each order m add up to q^(2m+1)."""
+    for m, size in enumerate(sizes):
+        if size != q ** (2 * m + 1):
+            raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
+                                       f"{size}, not {q}^{2 * m + 1}")
 
 
 def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int, int]:
@@ -443,29 +460,32 @@ class Report:
 
 
 class _Tally(dict):
-    """Scan-side :class:`Check` objects by name, made empty on first use.
-    Picklable, so workers return it as it is; ``merge`` is associative."""
+    """Scan-side :class:`Check` objects by name, made empty on first use,
+    and the orbit sizes walked per order.  Picklable, so workers return
+    it as it is; ``merge`` is associative."""
 
-    def __init__(self, q: int) -> None:
+    def __init__(self, q: int, n_max: int = 0) -> None:
         super().__init__()
         self.q = q
         self.expected: Dict[Tuple[int, int], Tuple[str, Dict[int, int]]] = {}
+        self.sizes = [0] * (n_max + 1)
 
     def __missing__(self, name: str) -> Check:
         check = self[name] = Check(name)
         return check
 
     def record(self, name: str, ok: bool, m: int, index: int, detail: str,
-               cross: bool = False) -> None:
-        """Count one check, or with ``cross`` one cross-check, of the
-        order-m spec at ``index``; ``detail`` says what failed when not ``ok``."""
+               weight: int = 1, cross: bool = False) -> None:
+        """Count one check of the order-m spec at ``index`` for each of the
+        ``weight`` specs of its orbit, or with ``cross`` one cross-check;
+        ``detail`` says what failed when not ``ok``."""
         check = self[name]
         if cross:
             check.cross_checked += 1
         else:
-            check.checked += 1
+            check.checked += weight
         if not ok:
-            check.failures += 1
+            check.failures += weight
             cex = check.counterexample
             if cex is None or (m, index) < cex.sort_key:
                 a, b = _index_to_ab(index, m, self.q)
@@ -473,14 +493,15 @@ class _Tally(dict):
                                                       detail=detail)
 
     def census(self, prev_nu: int, nu: int, child_nus: Sequence[int], m: int,
-               index: int) -> None:
-        """Check the census of one spec's children against the weight model."""
+               index: int, weight: int = 1) -> None:
+        """Check the census of one spec's children against the weight
+        model, for each of the ``weight`` specs of its orbit."""
         cached = self.expected.get((prev_nu, nu))
         if cached is None:
             try:
                 state = PairState(prev_nu, nu)
             except ValueError as exc:  # no census fits; only faulty elimination gets here
-                self.record(STEP_RULE, False, m, index, str(exc))
+                self.record(STEP_RULE, False, m, index, str(exc), weight)
                 return
             cached = (state.rule_class.value, dict(transition_weights(state, self.q)))
             self.expected[prev_nu, nu] = cached
@@ -491,11 +512,12 @@ class _Tally(dict):
         ok = census == expected
         self.record(name, ok, m, index, "" if ok else
                     f"census {dict(sorted(census.items()))} != expected "
-                    f"{dict(sorted(expected.items()))}")
+                    f"{dict(sorted(expected.items()))}", weight)
 
     def merge(self, part: "_Tally") -> None:
         for name, check in part.items():
             self[name].merge(check)
+        self.sizes = [x + y for x, y in zip(self.sizes, part.sizes)]
 
 
 _REPRESENTATIVE = {
@@ -626,40 +648,52 @@ def _cross_check(tally: _Tally, name: str, ok: bool, m: int, index: int,
 
 
 def _verify_scan(args: tuple) -> _Tally:
-    """Census each spec's children (order 0 with a virtual previous
-    nullity 0) and apply every qualifying predicate to each step, into
-    one tally: rule-class names and predicate names do not overlap.
+    """Census the children of each spec the reduced walk visits (order 0
+    with a virtual previous nullity 0) and apply every qualifying
+    predicate to each step, into one tally weighted by orbit size:
+    rule-class names and predicate names do not overlap.
 
-    The kernel and the open plateau run of each order are kept in
-    per-order lists; a run is (start order, all omega so far, all sigma
-    so far), or None outside runs.  A kernel whose dimension is not the
-    nullity the walk gave raises :class:`RankCrossCheckError`.
+    The kernel, the open plateau run and the lex indices of the orbit
+    members (one per element of G, ``members[-1]`` standing for the
+    parent of order 0) of each order are kept in per-order lists; a run
+    is (start order, all omega so far, all sigma so far), or None
+    outside runs.  A kernel whose dimension is not the nullity the walk
+    gave raises :class:`RankCrossCheckError`.
     """
     q, n_max, split, lo, hi = args
     own = split if lo else 0
     q2 = q * q
     eng = engine(q)
     kernel, omega, sigma, ends = eng.kernel, eng.omega, eng.sigma, eng.ends
-    tally = _Tally(q)
+    group = _group(q, n_max)
+    tables = [[g[0] for g in group]] + [[g[1][m % (q - 1)] for g in group]
+                                        for m in range(1, n_max + 1)]
+    tally = _Tally(q, n_max)
     kernels: List[tuple] = [()] * (n_max + 1)
     runs: List[Optional[Tuple[int, bool, bool]]] = [None] * (n_max + 1)
+    members: List[List[int]] = [[]] * (n_max + 1) + [[0] * len(group)]
 
-    def check(name: str, ok: bool, m: int, index: int, detail: str,
-              run_start: int) -> None:
-        tally.record(name, ok, m, index, detail)
-        if not index % PREDICATE_CHECK_STRIDE:
-            _cross_check(tally, name, ok, m, index, run_start)
+    def check(name: str, ok: bool, detail: str, run_start: int) -> None:
+        """Record a predicate on the spec at hand for its whole orbit, and
+        replay each member whose index is a multiple of the stride."""
+        tally.record(name, ok, m, index, detail, weight)
+        for member in sorted({i for i in members[m] if not i % PREDICATE_CHECK_STRIDE}):
+            _cross_check(tally, name, ok, m, member, run_start)
 
-    for m, index, rows, string, child_nus, _ in walk(q, n_max, split, lo, hi):
+    for m, index, rows, string, child_nus, weight in walk(q, n_max, split, lo, hi, group):
+        code = index % q2
+        members[m] = [i * q2 + t[code] for i, t in zip(members[m - 1], tables[m])]
         nu = string[-1]
-        if child_nus and m >= own:
-            tally.census(string[-2] if m else 0, nu, child_nus, m, index)
+        if m >= own:
+            tally.sizes[m] += weight
+            if child_nus:
+                tally.census(string[-2] if m else 0, nu, child_nus, m, index, weight)
         kern = kernels[m] = kernel(rows) if nu else ()
         runs[m] = None
         if m == 0:
             continue
         if len(kern) != nu and m >= own:
-            raise RankCrossCheckError(m - 1, index // q2, *divmod(index % q2, q), nu, len(kern))
+            raise RankCrossCheckError(m - 1, index // q2, *divmod(code, q), nu, len(kern))
         prev_nu, prev = string[-2], kernels[m - 1]
         if nu == prev_nu and nu >= 1:
             is_w, is_s = kern == omega(prev), kern == sigma(prev)
@@ -667,18 +701,18 @@ def _verify_scan(args: tuple) -> _Tally:
             run = runs[m] = ((m - 1, is_w, is_s) if run is None
                              else (run[0], run[1] and is_w, run[2] and is_s))
             if m >= own:
-                check(PLATEAU_RUN, run[1] or run[2], m, index,
+                check(PLATEAU_RUN, run[1] or run[2],
                       "plateau run mixes append-zero and prepend-zero shifts", run[0])
         elif m < own:
             continue
         elif prev_nu == 0 and nu == 1:
-            check(ENDS, 0 not in ends(kern[0], m + 1), m, index,
+            check(ENDS, 0 not in ends(kern[0], m + 1),
                   "fresh kernel generator vanishes at an end", m - 1)
         elif nu == prev_nu + 1 and prev_nu >= 1:
-            check(ASCENT, kern == eng.span(omega(prev) + sigma(prev)), m, index,
+            check(ASCENT, kern == eng.span(omega(prev) + sigma(prev)),
                   "kernel is not the span of the shifted old kernel", m - 1)
         elif prev_nu > nu >= 1:
-            check(DESCENT, all(ends(v, m + 1) == (0, 0) for v in kern), m, index,
+            check(DESCENT, all(ends(v, m + 1) == (0, 0) for v in kern),
                   "descent-interior kernel vector touches an end", m - 1)
     return tally
 
@@ -686,19 +720,24 @@ def _verify_scan(args: tuple) -> _Tally:
 def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> Tuple[Report, Report]:
     """Rule and structure reports for every spec of order <= n_max, from
-    one walk.
+    one walk of the lex-least spec of each orbit of G.
 
-    The rule report compares the census of every spec of order < n_max
-    with the weight model, and checks the order-0 start: over the q
-    diagonal digits, q - 1 specs open at nullity 0 and one at nullity 1.
-    The structure report checks the four kernel-structure predicates on
-    every qualifying step, on the engine's own representations; each
-    such spec whose lex index is a multiple of PREDICATE_CHECK_STRIDE is
-    replayed through the public predicates, which must agree.
+    Child censuses and kernel predicates do not change under G, so each
+    walked spec counts for its whole orbit and a failing orbit names its
+    least member.  The rule report compares the census of every spec of
+    order < n_max with the weight model, and checks the order-0 start:
+    over the q diagonal digits, q - 1 specs open at nullity 0 and one at
+    nullity 1.  The structure report checks the four kernel-structure
+    predicates on every qualifying step, on the engine's own
+    representations; each orbit member of such a step whose lex index is
+    a multiple of PREDICATE_CHECK_STRIDE, walked or not, is replayed
+    through the public predicates, which must agree.  Each order's orbit
+    sizes must add up to q^(2m+1).
     """
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
     tally = _run(_verify_scan, _Tally.merge, q, n_max, jobs)
+    _check_sizes(q, tally.sizes)
 
     # the order-0 start: census of the first nullity over the q diagonal digits
     eng = engine(q)

@@ -746,13 +746,15 @@ def test_a_measured_nullity_jump_fails_verification_at_any_jobs(capsys, monkeypa
             EXIT_MISMATCH, "", "toepnull: cross-check: rank cross-check failed: child "
             "(a_new, b_new) = (0, 0) of the order-2 spec at index 5 has nullity 3 by shared "
             "elimination but 1 from scratch\n")
-    # a fall from 2 to 0 leaves no kernel to check: the pair fails the step bound
+    # a fall from 2 to 0 leaves no kernel to check: the pair fails the step
+    # bound, counted for both specs of the faulted child's orbit (the
+    # order-3 spec at index 4 and its unwalked transpose at index 8)
     monkeypatch.undo()
     fault_children_of(monkeypatch, 1, set_first(0))
     code, out, err = run(capsys, "verify", "--n", "4", "--q", "2", "--format", "json")
     assert (code, err) == (EXIT_MISMATCH, "")
     step = next(c for c in json.loads(out)["checks"] if c["name"] == "rule:step_bound")
-    assert step == {"name": "rule:step_bound", "passed": False, "checked": 1,
+    assert step == {"name": "rule:step_bound", "passed": False, "checked": 2,
                     "expected_offsets": {}, "counterexample": {
                         "order": 3, "a": [0, 0, 0, 0], "b": [0, 1, 0], "index": 4,
                         "detail": "consecutive nullities differ by at most 1, got (2, 0)"}}
@@ -807,6 +809,23 @@ def test_a_broken_symmetry_table_fails_the_brute_force_scan(capsys, monkeypatch,
         assert run(capsys, *argv, "--q", "2", "--check-brute-force", "--jobs", jobs) == (
             EXIT_MISMATCH, "", "toepnull: cross-check: orbit cross-check failed: the orbit "
             "sizes of order 1 add up to 6, not 2^3\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])
+def test_a_broken_symmetry_table_fails_verification(capsys, monkeypatch, jobs):
+    # the verify twin of the test above: exhaustive verify walks the same
+    # reduced tree, and the same per-order sum catches the same table
+    real = enumeration._group
+
+    def group(q, n_max):
+        tables = real(q, n_max)
+        tables[1][1][0][1] = 1
+        return tables
+
+    monkeypatch.setattr(enumeration, "_group", group)
+    assert run(capsys, "verify", "--n", "3", "--q", "2", "--jobs", jobs) == (
+        EXIT_MISMATCH, "", "toepnull: cross-check: orbit cross-check failed: the orbit "
+        "sizes of order 1 add up to 6, not 2^3\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=FORK_ONLY)])

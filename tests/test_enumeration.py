@@ -204,8 +204,8 @@ def test_a_stride_spec_gets_both_cross_checks(monkeypatch):
     assert set(ranked) == set(orbits) == set(stride)
     ranked.clear()
     orbits.clear()
-    verify_exhaustive(2, 3)  # the full walk has no orbits to expand
-    assert orbits == [] and ranked == [(0, 0), (1, 0)]
+    verify_exhaustive(4, 3)  # verify walks the same reduced tree
+    assert ranked == orbits == stride
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +356,45 @@ class _InlinePool:
 
     def imap(self, fn, args):
         return map(fn, args)
+
+
+def identity_group(q, n_max):
+    return [(range(q), [range(q * q)] * (q - 1))]
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_reduced_verify_matches_the_full_walk(monkeypatch, q, n_max):
+    # under the identity group verify walks every spec once, each with
+    # weight 1: the oracle for the orbit weights and the replayed members
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    reduced = [[verify_exhaustive(n, q, jobs=jobs) for n in range(n_max + 1)]
+               for jobs in (1, 2)]
+    monkeypatch.setattr(enumeration, "_group", identity_group)
+    full = [verify_exhaustive(n, q) for n in range(n_max + 1)]
+    assert reduced == [full, full]
+
+
+def test_reduced_verify_fails_like_the_full_walk(monkeypatch):
+    # faults that depend only on nullities fail whole orbits: the failure
+    # counts and the first counterexamples match the full walk's
+    real = enumeration.transition_weights
+
+    def skewed(state, q):
+        weights = real(state, q)
+        if state.rule_class.value != "plateau":
+            return weights
+        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
+
+    monkeypatch.setattr(enumeration, "transition_weights", skewed)
+    monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
+    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    reduced = [verify_exhaustive(3, 3, jobs=jobs) for jobs in (1, 2)]
+    monkeypatch.setattr(enumeration, "_group", identity_group)
+    full = verify_exhaustive(3, 3)
+    assert not full[0].passed and not full[1].passed
+    assert full[0].counterexample.order == 1
+    assert reduced == [full, full]
 
 
 def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
@@ -634,16 +673,22 @@ def test_walk_cross_checks_on_a_stride(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the injected fault")
 def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
-    # q=5, n=3, jobs=4 splits order 2 into ranges of 196 specs.  The range
-    # at 0 also walks every order-1 spec and reaches (1, 64) only after
-    # the serial walk has met (2, 256), which lies in the next range.
-    misreport(monkeypatch, 5, [(1, 64), (2, 256)])
+    # q=2, n=5, jobs=5 splits order 4 into 20 ranges.  The range at 0 also
+    # walks every order-3 spec and reaches (3, 64), digits (1, 0, ..., 0),
+    # only after the serial walk has met (4, 192), digits (0, 1, 1, 0, ...,
+    # 0), which lies in a later range; both are least in their orbits
+    walked = {(m, index) for m, index, *_ in walk(2, 5, group=enumeration._group(2, 5))}
+    assert {(3, 64), (4, 192)} <= walked
+    misreport(monkeypatch, 2, [(3, 64), (4, 192)])
     errors = []
-    for jobs in (1, 4):
+    for jobs in (1, 5):
         with pytest.raises(RankCrossCheckError) as exc:
-            verify_exhaustive(3, 5, jobs=jobs)
+            verify_exhaustive(5, 2, jobs=jobs)
         errors.append(exc.value.args)
-    assert errors[0] == errors[1] and errors[0][:4] == (2, 256, 4, 4)
+    assert errors[0] == errors[1] and errors[0][:4] == (4, 192, 1, 1)
+    with pytest.raises(RankCrossCheckError) as exc:
+        enumeration._verify_scan((2, 5, 4, 0, 1))  # any range at 0
+    assert exc.value.args[:4] == (3, 64, 1, 1)
 
 
 def fault_child(monkeypatch, m, index, k, value):
