@@ -292,7 +292,7 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
     Serially that is one call with no split.  Otherwise the split level
     is cut into about 4 * jobs index ranges, each starting at a quantile
     of the level's specs that are least in their orbits under G (the
-    specs the scans walk; ranges past their number are empty), a pool of
+    specs the scans walk, at least one in each range), a pool of
     at most ``jobs`` workers scans them, and ``merge(total, part)`` folds
     the parts in range order.  A scan owns the specs of its range and
     their descendants; the range starting at 0 also owns every shallower
@@ -305,7 +305,7 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
     width, level = q ** (2 * split + 1), [(0, _group(q, split))]
     for m in range(split + 1):
         level = [(index * q * q + x, sub) for index, stab in level for x, sub in _least(stab, m, q)]
-    ranges, least = min(4 * jobs, width), [index for index, _ in level] + [width]
+    ranges, least = min(4 * jobs, len(level)), [index for index, _ in level] + [width]
     bounds = [0] + [least[-(-len(level) * i // ranges)] for i in range(1, ranges)] + [width]
     args = [(q, n_max, split, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     parts, failures = [], []
@@ -565,8 +565,8 @@ class XorShift64:
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError("bound must lie in [1, 2**64]")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             word = self.next_word()
@@ -664,7 +664,7 @@ def _verify_scan(args: tuple) -> _Tally:
     own = split if lo else 0
     q2 = q * q
     eng = engine(q)
-    kernel, omega, sigma, ends = eng.kernel, eng.omega, eng.sigma, eng.ends
+    kernel, sigma, ends = eng.kernel, eng.sigma, eng.ends
     group = _group(q, n_max)
     tables = [[g[0] for g in group]] + [[g[1][m % (q - 1)] for g in group]
                                         for m in range(1, n_max + 1)]
@@ -696,7 +696,8 @@ def _verify_scan(args: tuple) -> _Tally:
             raise RankCrossCheckError(m - 1, index // q2, *divmod(code, q), nu, len(kern))
         prev_nu, prev = string[-2], kernels[m - 1]
         if nu == prev_nu and nu >= 1:
-            is_w, is_s = kern == omega(prev), kern == sigma(prev)
+            # an appended zero lane changes no packed int: prev is its own omega shift
+            is_w, is_s = kern == prev, kern == sigma(prev)
             run = runs[m - 1]
             run = runs[m] = ((m - 1, is_w, is_s) if run is None
                              else (run[0], run[1] and is_w, run[2] and is_s))
@@ -709,7 +710,7 @@ def _verify_scan(args: tuple) -> _Tally:
             check(ENDS, 0 not in ends(kern[0], m + 1),
                   "fresh kernel generator vanishes at an end", m - 1)
         elif nu == prev_nu + 1 and prev_nu >= 1:
-            check(ASCENT, kern == eng.span(omega(prev) + sigma(prev)),
+            check(ASCENT, kern == eng.span(prev + sigma(prev)),
                   "kernel is not the span of the shifted old kernel", m - 1)
         elif prev_nu > nu >= 1:
             check(DESCENT, all(ends(v, m + 1) == (0, 0) for v in kern),

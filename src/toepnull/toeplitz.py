@@ -11,19 +11,21 @@ embedded prefix; one elimination, bordered by a row and a column per
 order, gives all of them.
 
 Two elimination engines implement the same exact arithmetic on rows
-packed into one integer each, building an echelon form row by row in a
-dict keyed by pivot column:
+packed into one integer each, entry j in the lane at bit ``bits * j``,
+building an echelon form row by row in a dict keyed by pivot column:
 
-* byte lanes modulo any prime q: entry j in byte j, where one
-  ``bytes.translate`` maps every entry of a row at once, and
-* a GF(2) fast path: entry j in bit j, eliminating with word-wide xors.
+* 8-bit lanes modulo any prime q, where one ``bytes.translate`` maps
+  every entry of a row at once, and
+* a GF(2) fast path on 1-bit lanes, eliminating with word-wide xors.
 
-:func:`engine` picks one of them for a modulus and puts both behind one
-interface, which every caller here and in ``enumeration`` goes through;
-entry tuples appear only at its ``vectors`` and the public functions.
-Both reduce kernels to the same canonical form: the unique reduced
-echelon basis with leading entry 1 at the lowest possible index and
-rows ordered by pivot.  Equal subspaces therefore compare equal.
+Each keeps only its arithmetic: ``rows``, ``rank``, ``rref`` and the
+scans' hot loops ``children`` and ``prefix_nullities``; their base
+``_Engine`` builds the kernel, spans, the zero shift, end entries and
+entry tuples on ``rref``, once for both.  :func:`engine` picks one per
+modulus, every caller goes through it, and entry tuples appear only at
+its ``vectors`` and the public functions.  Kernels and spans are
+canonical: the unique reduced echelon basis, rows ordered by pivot with
+leading entry 1, so equal subspaces compare equal.
 """
 
 from __future__ import annotations
@@ -44,15 +46,8 @@ Vector = Tuple[int, ...]
 def gf2_pack_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Rows of the spec'd matrix as integers, bit j = column j."""
     n = len(a) - 1
-    rows = []
-    for i in range(n + 1):
-        bits = 0
-        for j in range(n + 1):
-            e = a[j - i] if j >= i else b[i - j - 1]
-            if e:
-                bits |= 1 << j
-        rows.append(bits)
-    return rows
+    diagonals = sum(d << k for k, d in enumerate((*b[::-1], *a)))  # entry (i, j) is bit n + j - i
+    return [diagonals >> n - i & (2 << n) - 1 for i in range(n + 1)]
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -81,39 +76,15 @@ def gf2_rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
     Returns (rows, pivots): nonzero reduced rows ordered by pivot column
     and the matching pivot column indices.
     """
-    piv = _gf2_pivots(rows)
-    # clear every pivot bit from the other rows, highest pivot first
-    for low in sorted(piv, reverse=True):
-        row = piv[low]
-        for other_low in piv:
-            if other_low < low and piv[other_low] & low:
-                piv[other_low] ^= row
-    lows = sorted(piv)
-    return [piv[low] for low in lows], [low.bit_length() - 1 for low in lows]
-
-
-def gf2_nullspace(rows: Iterable[int], width: int) -> List[int]:
-    """Canonical packed kernel basis of a matrix with ``width`` columns."""
-    reduced, pivots = gf2_rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        probe = 1 << free
-        for i, p in enumerate(pivots):
-            if reduced[i] & probe:
-                v |= 1 << p
-        basis.append(v)
-    # the free-column basis is not echelon in general; normalize it
-    canonical, _ = gf2_rref(basis)
-    return canonical
-
-
-def unpack_bits(bits: int, width: int) -> Vector:
-    """Packed row back to an entry tuple."""
-    return tuple((bits >> j) & 1 for j in range(width))
+    # bottom up, as in gfq_rref: clear from each row the pivot bits of the
+    # reduced rows below it, each of which holds no other pivot bit
+    done: List[Tuple[int, int]] = []
+    for low, row in sorted(_gf2_pivots(rows).items(), reverse=True):
+        for other_low, other in done:
+            if row & other_low:
+                row ^= other
+        done.append((low, row))
+    return [row for _, row in done[::-1]], [low.bit_length() - 1 for low, _ in done[::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +162,6 @@ def gfq_rref(rows: List[int], q: int) -> Tuple[List[int], List[int]]:
     return [row for _, row in echelon], [c for c, _ in echelon]
 
 
-def gfq_nullspace(rows: List[int], q: int, width: int) -> List[int]:
-    """Canonical lane kernel basis of a matrix with ``width`` columns."""
-    reduced, pivots = gfq_rref(rows, q)
-    basis = []
-    for free in sorted(set(range(width)) - set(pivots)):
-        v = 1 << 8 * free
-        for row, p in zip(reduced, pivots):
-            v |= -(row >> 8 * free & 255) % q << 8 * p
-        basis.append(v)
-    # the free-column basis is not echelon in general; normalize it
-    return gfq_rref(basis, q)[0]
-
-
 def _directions(r0: int, r1: int, q: int, w: int) -> List[int]:
     """For d = 0..q-1 the lane vector r0 + d (r1 - r0) scaled to leading
     entry 1, or 0 when it is 0; two vectors are dependent exactly when
@@ -230,8 +188,48 @@ def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector,
 # the engine seam: both representations behind one interface
 
 
-class _PackedGF2:
-    """GF(2) on bit-packed rows; kernels are tuples of packed vectors."""
+class _Engine:
+    """What both engines share: the methods that only read or move the
+    lanes of packed vectors, built on the engine's own ``rref``."""
+
+    q: int
+    bits: int
+
+    def kernel(self, rows: List[int]) -> Tuple[int, ...]:
+        """Canonical kernel basis of a square matrix."""
+        reduced, pivots = self.rref(rows)
+        bits, mask, basis = self.bits, (1 << self.bits) - 1, []
+        for free in sorted(set(range(len(rows))) - set(pivots)):
+            # minus the free-column solution: -1 at the free column, each
+            # pivot row's entry there at its pivot (rref rescales it below)
+            shift = bits * free
+            v = (self.q - 1) << shift
+            for row, p in zip(reduced, pivots):
+                v |= (row >> shift & mask) << bits * p
+            basis.append(v)
+        # the free-column basis is not echelon in general; normalize it
+        return self.span(basis)
+
+    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(self.rref(list(vectors))[0])
+
+    def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
+        mask = (1 << self.bits) - 1
+        return tuple(tuple(v >> shift & mask for shift in range(0, self.bits * width, self.bits))
+                     for v in kernel)
+
+    def sigma(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(v << self.bits for v in kernel)
+
+    def ends(self, v: int, width: int) -> Tuple[int, int]:
+        mask = (1 << self.bits) - 1
+        return v & mask, v >> self.bits * (width - 1) & mask
+
+
+class _PackedGF2(_Engine):
+    """GF(2) on 1-bit lanes, eliminated by xor."""
+
+    q, bits = 2, 1
 
     def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         return gf2_pack_rows(a, b)
@@ -239,11 +237,8 @@ class _PackedGF2:
     def rank(self, rows: List[int]) -> int:
         return gf2_rank(rows)
 
-    def kernel(self, rows: List[int]) -> Tuple[int, ...]:
-        return tuple(gf2_nullspace(rows, len(rows)))
-
-    def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
-        return tuple(unpack_bits(v, width) for v in kernel)
+    def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
+        return gf2_rref(rows)
 
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m = len(rows) - 1
@@ -315,24 +310,13 @@ class _PackedGF2:
             out.append(len(zeros))
         return tuple(out)
 
-    def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
-        return kernel  # an appended zero sets no bit
-
-    def sigma(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(v << 1 for v in kernel)
-
-    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(gf2_rref(vectors)[0])
-
-    def ends(self, v: int, width: int) -> Tuple[int, int]:
-        return v & 1, (v >> (width - 1)) & 1
-
 
 @dataclass(frozen=True)
-class _LaneGFq:
-    """GF(q) on byte-lane rows; kernels are tuples of lane vectors."""
+class _LaneGFq(_Engine):
+    """GF(q) on 8-bit lanes, eliminated by ``bytes.translate``."""
 
     q: int
+    bits = 8
 
     def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         return [int.from_bytes(row, "little") for row in gfq_rows(a, b)]
@@ -340,11 +324,8 @@ class _LaneGFq:
     def rank(self, rows: List[int]) -> int:
         return gfq_rank(rows, self.q)
 
-    def kernel(self, rows: List[int]) -> Tuple[int, ...]:
-        return tuple(gfq_nullspace(rows, self.q, len(rows)))
-
-    def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
-        return tuple(tuple(v.to_bytes(width, "little")) for v in kernel)
+    def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
+        return gfq_rref(rows, self.q)
 
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m, q, w = len(rows) - 1, self.q, len(rows) + 1
@@ -401,35 +382,31 @@ class _LaneGFq:
             out.append(len(zeros))
         return tuple(out)
 
-    def omega(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
-        return kernel  # an appended zero lane changes no int
-
-    def sigma(self, kernel: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(v << 8 for v in kernel)
-
-    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(gfq_rref(list(vectors), self.q)[0])
-
-    def ends(self, v: int, width: int) -> Tuple[int, int]:
-        return v & 255, v >> 8 * width - 8 & 255
-
 
 @lru_cache(maxsize=None)
-def engine(q: int) -> Union[_PackedGF2, _LaneGFq]:
+def engine(q: int) -> _Engine:
     """The elimination engine for GF(q), one cached instance per modulus:
-    bit-packed rows at q = 2, byte-lane rows otherwise.  This is the one
-    place the representation is chosen.
+    1-bit lanes at q = 2, 8-bit lanes otherwise.  This is the one place
+    the representation is chosen.
 
-    ``rank`` eliminates its rows from scratch and only reads them;
-    ``kernel`` is canonical, in the engine's own vector form (``vectors``
-    gives entry tuples); ``children`` gives the rows of the q^2 one-step
-    extensions in (a_new, b_new) order, read off the parent's rows, and
-    the nullity of each.  The children share all rows but the first and
-    the last, so ``children`` eliminates those m rows once and reduces
-    the q first-row and q last-row variants against them: a child's rank
-    is the shared rank plus the rank of its two residuals.  That is exact
-    elimination of the child's own rows, with O(m) work per child;
-    ``enumeration`` re-checks a stride of children with ``rank``.
+    The base ``_Engine`` builds on ``rref`` what only reads or moves
+    lanes: ``kernel`` (canonical, of a square matrix), ``span``,
+    ``vectors`` (entry tuples), ``sigma`` (a zero prepended to every
+    kernel vector; an appended one changes no packed int) and ``ends``
+    (the first and last entry).  Each engine keeps its arithmetic:
+    ``rows``, ``rank`` (from scratch; it only reads its rows), ``rref``,
+    and the scans' two hot loops below, which inline its xor or
+    translate: shared per-operation hooks would add a call to every row
+    operation there, and they saved no lines.
+
+    ``children`` gives the rows of the q^2 one-step extensions in
+    (a_new, b_new) order, read off the parent's rows, and the nullity of
+    each.  The children share all rows but the first and the last, so
+    ``children`` eliminates those m rows once and reduces the q first-row
+    and q last-row variants against them: a child's rank is the shared
+    rank plus the rank of its two residuals.  That is exact elimination
+    of the child's own rows, with O(m) work per child; ``enumeration``
+    re-checks a stride of children with ``rank``.
 
     ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
     the leading block of the next, for ``nullity_string`` and for the
@@ -442,10 +419,6 @@ def engine(q: int) -> Union[_PackedGF2, _LaneGFq]:
     nullity is the count of zero rows.  That is O(m^2) work per order,
     O(n^3) per string, with no call to ``rows`` or ``rank``, which stay
     the from-scratch path the tests check it against.
-
-    ``omega``/``sigma`` append/prepend a zero to every kernel vector,
-    ``span`` is a canonical span and ``ends`` the first and last entry
-    of a vector.
     """
     return _PackedGF2() if q == 2 else _LaneGFq(q)
 

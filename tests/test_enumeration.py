@@ -401,17 +401,18 @@ def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
     _InlinePool.sizes.clear()
     serial = brute_force_table(3, 2)
-    # the split level of q=2, n=3 holds 2^5 specs, so at most 32 ranges
+    # the split level of q=2, n=3 holds 2^5 specs, 20 of them least in
+    # their orbits, so at most 20 ranges, none of them empty
     assert brute_force_table(3, 2, jobs=MAX_JOBS).counts == serial.counts
-    assert _InlinePool.sizes == [32]
+    assert _InlinePool.sizes == [20]
     assert verify_exhaustive(3, 2, jobs=3)[0].passed
-    assert _InlinePool.sizes == [32, 3]
+    assert _InlinePool.sizes == [20, 3]
     for bad in (0, MAX_JOBS + 1, 100000, True, 2.0):
         with pytest.raises(ValueError):
             brute_force_table(3, 2, jobs=bad)
         with pytest.raises(ValueError):
             verify_exhaustive(3, 2, jobs=bad)
-    assert _InlinePool.sizes == [32, 3]
+    assert _InlinePool.sizes == [20, 3]
 
 
 def test_exhaustive_verify_starts_one_pool(monkeypatch, capsys):
@@ -568,6 +569,11 @@ def test_xorshift_below_stays_in_range():
     assert len(set(draws)) == 5
     with pytest.raises(ValueError):
         gen.below(0)
+    # no rejection threshold exists past 2^64 (the draw would never end)
+    with pytest.raises(ValueError):
+        gen.below(2**64 + 1)
+    state = gen.state
+    assert gen.below(2**64) == XorShift64(state).next_word()  # every word is kept
 
 
 def test_sample_census_is_deterministic():

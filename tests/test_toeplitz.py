@@ -21,15 +21,12 @@ from toepnull import toeplitz
 from toepnull.toeplitz import (
     canonical_vectors,
     engine,
-    gf2_nullspace,
     gf2_pack_rows,
     gf2_rank,
     gf2_rref,
-    gfq_nullspace,
     gfq_rank,
     gfq_rref,
     gfq_rows,
-    unpack_bits,
 )
 
 from list_oracle import (list_children, list_kernel, list_prefix_nullities, list_rank,
@@ -236,23 +233,37 @@ def test_engines_agree_on_random_specs(n, data):
     packed_rows = gf2_pack_rows(a, b)
     assert gf2_rank(packed_rows) == gfq_rank(gfq_rows(a, b), 2) == list_rank(list_rows(a, b), 2)
     width = n + 1
-    # the packed engine emits the canonical basis; so do the lanes and the
-    # list oracle, and it is its own canonical form
-    packed_kernel = tuple(
-        unpack_bits(v, width) for v in gf2_nullspace(packed_rows, width)
-    )
-    lanes = toeplitz._LaneGFq(2)
-    assert packed_kernel == canonical_vectors(packed_kernel, 2)
-    assert packed_kernel == lanes.vectors(lanes.kernel(lanes.rows(a, b)), width)
-    assert packed_kernel == list_kernel(list_rows(a, b), 2, width)
+    # 1-bit and 8-bit lanes: the shared methods of the engine base must
+    # read and move both alike
+    engines = engine(2), toeplitz._LaneGFq(2)
+    assert {eng.vectors(eng.rows(a, b), width) for eng in engines} == {
+        tuple(map(tuple, list_rows(a, b)))}
+    reduced, pivots = gf2_rref(packed_rows)
+    assert ([list(v) for v in engines[0].vectors(reduced, width)], pivots) == list_rref(
+        list_rows(a, b), 2)
+    # both engines emit the canonical basis; so does the list oracle, and
+    # it is its own canonical form
+    kernels = [eng.kernel(eng.rows(a, b)) for eng in engines]
+    kernel = engines[0].vectors(kernels[0], width)
+    assert kernel == engines[1].vectors(kernels[1], width)
+    assert kernel == list_kernel(list_rows(a, b), 2, width)
+    assert kernel == canonical_vectors(kernel, 2)
+    shifted = canonical_vectors([(*v, 0) for v in kernel] + [(0, *v) for v in kernel], 2)
+    for eng, kern in zip(engines, kernels):
+        assert eng.vectors(eng.sigma(kern), width + 1) == tuple((0, *v) for v in kernel)
+        assert [eng.ends(v, width) for v in kern] == [(v[0], v[-1]) for v in kernel]
+        assert eng.span(kern) == kern
+        assert eng.vectors(eng.span(kern + eng.sigma(kern)), width + 1) == shifted
 
 
-def test_unpack_bits_roundtrip():
-    for width in range(1, 9):
-        for bits in range(1 << width):
-            vec = unpack_bits(bits, width)
-            assert len(vec) == width
-            assert sum(v << i for i, v in enumerate(vec)) == bits
+@pytest.mark.parametrize("q, max_width", [(2, 8), (3, 5)])
+def test_vectors_roundtrip(q, max_width):
+    """``vectors`` reads lane j of a packed int as entry j."""
+    for eng in {engine(q), toeplitz._LaneGFq(q)}:
+        for width in range(1, max_width + 1):
+            for vec in itertools.product(range(q), repeat=width):
+                packed = sum(x << eng.bits * j for j, x in enumerate(vec))
+                assert eng.vectors((packed,), width) == (vec,)
 
 
 def test_rref_is_idempotent_and_rank_consistent():
@@ -432,7 +443,9 @@ def check_elimination(rows, q):
     # the rref rows span every input row
     assert all(not any(reduced_by(v, reduced, pivots, q)) for v in rows)
     assert gfq_rank(list(zip(*rows)), q) == rank  # rank(A) == rank(A^T)
-    kernel = unpack(gfq_nullspace(lanes, q, width), width)
+    if len(rows) != width:
+        return  # the package computes kernels of square matrices only
+    kernel = unpack(toeplitz._LaneGFq(q).kernel(lanes), width)
     assert len(kernel) == width - rank
     assert gfq_rank(kernel, q) == len(kernel)
     assert all(sum(x * y for x, y in zip(row, v)) % q == 0 for v in kernel for row in rows)
@@ -510,10 +523,8 @@ def test_lanes_match_the_list_oracle(q):
         reduced, pivots = gfq_rref(packed, q)
         assert (unpack(reduced, width), pivots) == list_rref(rows, q)
         assert canonical_vectors(rows, q) == list_span(rows, q)
-        kernel = list_kernel(rows, q, width)
-        assert tuple(map(tuple, unpack(gfq_nullspace(packed, q, width), width))) == kernel
-        if len(rows) == width:
-            assert lanes.vectors(lanes.kernel(packed), width) == kernel
+        if len(rows) == width:  # the package computes kernels of square matrices only
+            assert lanes.vectors(lanes.kernel(packed), width) == list_kernel(rows, q, width)
             assert lanes.rank(packed) == list_rank(rows, q)
     for a, b in oracle_specs(rng, q):
         kids, nus = lanes.children(lanes.rows(a, b))
@@ -521,3 +532,5 @@ def test_lanes_match_the_list_oracle(q):
         assert [unpack(kid, len(a) + 1) for kid in kids] == [
             list_rows(a + (a_new,), b + (b_new,)) for a_new in range(q) for b_new in range(q)]
         assert lanes.prefix_nullities(a, b) == list_prefix_nullities(a, b, q)
+        spec = ToeplitzSpec(field=PrimeField(q), a=a, b=b)  # through engine(q)
+        assert kernel_basis(spec) == list_kernel(list_rows(a, b), q, len(a))
