@@ -5,8 +5,8 @@ Subcommands:
 * ``table``         counts by nullity for every order up to n, from the
                     weight model; ``--check-brute-force`` re-derives the
                     same table by exhaustive enumeration and compares.
-* ``spectrum``      order-n counts by rank; at q=2 the row is also
-                    cross-checked against the closed forms.
+* ``spectrum``      order-n counts by rank, cross-checked against the
+                    closed forms at every q.
 * ``verify``        exhaustive cross-validation of the transition rules
                     and the kernel-structure predicates, both read off
                     one walk of the tree; with ``--seed`` it instead
@@ -246,15 +246,12 @@ def _cmd_spectrum(cfg: argparse.Namespace):
     spectrum = rank_spectrum(cfg.n, cfg.q)
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "check_brute_force": cfg.check_brute_force}
-    checks: List[Dict] = []
-    if cfg.q == 2:
-        bad = [r for r, c in spectrum.items()
-               if c != nullity_count_closed(cfg.n, cfg.n + 1 - r)]
-        check = {"name": "closed_form_cross_check", "passed": not bad,
-                 "checked": len(spectrum)}
-        if bad:
-            check["detail"] = f"ranks disagreeing with the closed forms: {bad}"
-        checks.append(check)
+    bad = [r for r, c in spectrum.items()
+           if c != nullity_count_closed(cfg.n, cfg.n + 1 - r, cfg.q)]
+    checks: List[Dict] = [{"name": "closed_form_cross_check", "passed": not bad,
+                           "checked": len(spectrum)}]
+    if bad:
+        checks[0]["detail"] = f"ranks disagreeing with the closed forms: {bad}"
     if brute is not None:
         expected = {cfg.n + 1 - nu: c for nu, c in enumerate(brute.row(cfg.n))}
         passed = expected == dict(spectrum)

@@ -15,8 +15,9 @@ Every row sums to q^2.  Summing products of these weights over the
 order-0 start (q - 1 invertible 1 x 1 matrices in state (0, 0), one
 zero matrix in state (0, 1), a virtual nullity 0 in front) counts specs
 exactly; the ``enumeration`` module validates that claim wholesale.  The DP
-is one pass over plain (prev, cur) tuples on the weights ``transition_weights``
-returns, and every order-based count reads off that pass.
+is one pass over three lists indexed by the current nullity d, the masses
+of (d - 1, d), (d, d) and (d + 1, d), on the weights ``transition_weights``
+returns; every order-based count reads off that pass.
 
 Everything here is exact integer arithmetic; counts get large fast and
 stay correct.
@@ -97,21 +98,33 @@ def transition_weights(state: PairState, q: int) -> Tuple[Tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # dynamic program over pair states
 
-Dist = Dict[Tuple[int, int], int]
+# The grammar leaves three pairs per current nullity d: (d - 1, d), (d, d)
+# and (d + 1, d).  A distribution holds their masses in three lists of one
+# length, indexed by d: ascending, flat and descending.
+Dist = Tuple[List[int], List[int], List[int]]
 
 
 def _walk(dist: Dist, q: int, steps: int, positive: bool = False) -> Iterator[Dist]:
     """``dist`` and the distribution after each of ``steps`` steps, in turn;
     with ``positive`` the walk drops every step to nullity 0."""
+    def census(prev: int, cur: int) -> Tuple[int, int, int]:
+        weights = dict(_successors(prev, cur, q))  # to cur + 1, cur and cur - 1
+        return weights.get(cur + 1, 0), weights.get(cur, 0), weights.get(cur - 1, 0)
+
+    # weights of the classes zero_zero, one_zero, ascending, plateau, descending
+    (zz_up, zz_flat, _), (oz_up, oz_flat, _) = census(0, 0), census(1, 0)
+    (up, a_flat, a_down), (_, p_flat, p_down) = census(1, 2), census(1, 1)
+    d_down = census(2, 1)[2]
     yield dist
     for _ in range(steps):
-        nxt: Dist = {}
-        for (prev, cur), mass in dist.items():
-            for value, weight in _successors(prev, cur, q):
-                if value or not positive:
-                    key = (cur, value)
-                    nxt[key] = nxt.get(key, 0) + mass * weight
-        dist = nxt
+        asc, flat, desc = dist
+        dist = ([0, flat[0] * zz_up + desc[0] * oz_up] + [a * up for a in asc[1:]],
+                [flat[0] * zz_flat + desc[0] * oz_flat]
+                + [a * a_flat + f * p_flat for a, f in zip(asc[1:], flat[1:])] + [0],
+                [a * a_down + f * p_down + d * d_down
+                 for a, f, d in zip(asc[1:], flat[1:], desc[1:])] + [0, 0])
+        if positive:
+            dist[1][0] = dist[2][0] = 0
         yield dist
 
 
@@ -122,16 +135,15 @@ def _last(walk: Iterator[Dist]) -> Dist:
 
 
 def _row(dist: Dist, m: int) -> Tuple[int, ...]:
-    by_nu = [0] * (m + 2)
-    for (_, cur), mass in dist.items():
-        by_nu[cur] += mass
-    return tuple(by_nu)
+    asc, flat, desc = dist
+    return tuple(asc[d] + flat[d] + desc[d] for d in range(m + 2))
 
 
 def _to_zero(dist: Dist, q: int) -> int:
-    """Mass that steps from ``dist`` to nullity 0."""
-    return sum(mass * weight for (prev, cur), mass in dist.items()
-               for value, weight in _successors(prev, cur, q) if value == 0)
+    """Mass that steps from ``dist`` to nullity 0: one step of its part
+    at nullity 0 and 1, the only part that can get there."""
+    _, flat, desc = _last(_walk(tuple(masses[:2] for masses in dist), q, 1))
+    return flat[0] + desc[0]
 
 
 def _orders(n: int, q: int) -> Iterator[Dist]:
@@ -140,12 +152,14 @@ def _orders(n: int, q: int) -> Iterator[Dist]:
     _check_modulus(q)
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return _walk({(0, 0): q - 1, (0, 1): 1}, q, n)
+    return _walk(([0, 1], [q - 1, 0], [0, 0]), q, n)
 
 
 def state_distribution(n: int, q: int) -> Dict[PairState, int]:
     """How many order-n specs end in each terminal pair, per the model."""
-    return {PairState(*pair): mass for pair, mass in _last(_orders(n, q)).items()}
+    return {PairState(d - rise, d): mass
+            for rise, masses in zip((1, 0, -1), _last(_orders(n, q)))
+            for d, mass in enumerate(masses) if mass}
 
 
 @dataclass(frozen=True)
@@ -182,7 +196,7 @@ def rank_spectrum(n: int, q: int) -> Dict[int, int]:
 
 
 def _split(dist: Dist) -> Tuple[int, int]:
-    return dist.get((0, 0), 0), dist.get((1, 0), 0)
+    return dist[1][0], dist[2][0]
 
 
 def theta_eta(n: int) -> Tuple[int, int]:
@@ -237,7 +251,7 @@ def positive_excursion_count(n: int, q: int) -> int:
     _check_modulus(q)
     if n < 1:
         raise ValueError("an excursion needs at least one step")
-    return _to_zero(_last(_walk({(0, 1): 1}, q, n - 1, positive=True)), q)
+    return _to_zero(_last(_walk(([0, 1], [0, 0], [0, 0]), q, n - 1, positive=True)), q)
 
 
 def nullity1_structured_count(n: int) -> int:
@@ -245,7 +259,7 @@ def nullity1_structured_count(n: int) -> int:
     positive."""
     if n < 1:
         raise ValueError("needs order >= 1")
-    return _row(_last(_walk({(0, 1): 1}, 2, n, positive=True)), n)[1]
+    return _row(_last(_walk(([0, 1], [0, 0], [0, 0]), 2, n, positive=True)), n)[1]
 
 
 def iter_positive_strings(length: int) -> Iterator[Tuple[int, ...]]:
@@ -278,7 +292,7 @@ def positive_string_counts(m: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closed forms over GF(2)
+# closed forms, over GF(2) unless they take q
 
 
 def closed_theta(n: int) -> int:
@@ -328,18 +342,20 @@ def invertible_formula(n: int) -> int:
     return total
 
 
-def nullity_count_closed(n: int, k: int) -> int:
-    """Closed-form N(n, k) over GF(2): 4^n invertible, 3 * 4^(n-k) for
-    nullity 1 <= k <= n, and exactly one spec (all zeros) of nullity n+1."""
+def nullity_count_closed(n: int, k: int, q: int = 2) -> int:
+    """Closed-form N(n, k) over GF(q) (Daykin 1960): (q - 1) q^(2n)
+    invertible, (q^2 - 1) q^(2(n-k)) for nullity 1 <= k <= n, and exactly
+    one spec (all zeros) of nullity n+1."""
+    _check_modulus(q)
     if n < 0:
         raise ValueError("order must be nonnegative")
     if not 0 <= k <= n + 1:
         raise ValueError(f"nullity {k} impossible at order {n}")
     if k == 0:
-        return 4**n
+        return (q - 1) * q ** (2 * n)
     if k == n + 1:
         return 1
-    return 3 * 4 ** (n - k)
+    return (q * q - 1) * q ** (2 * (n - k))
 
 
 def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], Tuple[int, int], int, int]]:
@@ -348,7 +364,7 @@ def battery_rows(n: int) -> List[Tuple[Tuple[int, ...], Tuple[int, int], int, in
     off one pass of each walk: O(n^2) steps where per-order calls take O(n^3)."""
     if n < 1:
         raise ValueError("needs order >= 1")
-    full, positive = _orders(n, 2), _walk({(0, 1): 1}, 2, n, positive=True)
+    full, positive = _orders(n, 2), _walk(([0, 1], [0, 0], [0, 0]), 2, n, positive=True)
     next(full)
     rows, before = [], next(positive)
     for m, dist, pos in zip(range(1, n + 1), full, positive):

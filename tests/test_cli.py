@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from toepnull import __version__, cli, count_table, enumeration, kernel_structure, toeplitz
+from toepnull import (__version__, cli, count_table, counting, enumeration,
+                      kernel_structure, toeplitz)
 from toepnull.counting import CountTable, PairState, count_string
 from toepnull.cli import (
     EXIT_BUDGET,
@@ -93,7 +94,8 @@ PINNED = [
      "rank,count\n5,256\n4,192\n3,48\n2,12\n1,3\n0,1\n"),
     (["spectrum", "--n", "3", "--q", "3", "--check-brute-force"],
      "order-3 counts by rank over GF(3)\nrank 4: 1458\nrank 3: 648\nrank 2: 72\n"
-     "rank 1: 8\nrank 0: 1\n[  ok] model_vs_enumeration\n"),
+     "rank 1: 8\nrank 0: 1\n[  ok] closed_form_cross_check checked=5\n"
+     "[  ok] model_vs_enumeration\n"),
     (["verify", "--n", "2", "--q", "2"],
      "exhaustive verification: n=2 q=2\n"
      "[  ok] rule:ascending checked=3\n[  ok] rule:descending checked=0\n"
@@ -232,7 +234,7 @@ def test_spectrum_includes_closed_form_check_at_two(capsys):
 
 def test_spectrum_names_the_ranks_off_the_closed_forms(capsys, monkeypatch):
     real = cli.nullity_count_closed
-    monkeypatch.setattr(cli, "nullity_count_closed", lambda n, k: real(n, k) + (k == 1))
+    monkeypatch.setattr(cli, "nullity_count_closed", lambda n, k, q: real(n, k, q) + (k == 1))
     code, payload = run_json(capsys, "spectrum", "--n", "3", "--q", "2")
     assert code == EXIT_MISMATCH
     assert payload["checks"] == [{
@@ -244,7 +246,8 @@ def test_spectrum_brute_force_check(capsys):
     code, payload = run_json(capsys, "spectrum", "--n", "3", "--q", "3",
                              "--check-brute-force")
     assert code == EXIT_OK
-    assert [c["name"] for c in payload["checks"]] == ["model_vs_enumeration"]
+    assert [c["name"] for c in payload["checks"]] == [
+        "closed_form_cross_check", "model_vs_enumeration"]
     assert all(c["passed"] for c in payload["checks"])
 
 
@@ -603,6 +606,24 @@ def test_mismatch_exit_when_enumeration_disagrees(capsys, monkeypatch):
     assert run(capsys, "table", "--n", "2", "--q", "2", "--check-brute-force") == (
         EXIT_MISMATCH, "counts by nullity over GF(2), orders 0..2\n"
         "m=0: 1 1\nm=1: 4 3 1\nm=2: 16 12 3 1\nenumeration check: MISMATCH\n", "")
+
+
+def test_a_moved_plateau_weight_reaches_the_model(capsys, monkeypatch):
+    # the census is written once, in counting._successors: move one unit of
+    # the plateau's weight from d - 1 to d and every count must follow it
+    real = counting._successors
+
+    def successors(prev, cur, q):
+        if cur == prev >= 1:
+            return (cur, q + 1), (cur - 1, q * q - q - 1)
+        return real(prev, cur, q)
+
+    before = count_table(4, 3)
+    monkeypatch.setattr(counting, "_successors", successors)
+    assert count_table(4, 3) != before
+    code, out, err = run(capsys, "table", "--n", "4", "--q", "3", "--check-brute-force")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert out.endswith("enumeration check: MISMATCH\n")
 
 
 # ---------------------------------------------------------------------------

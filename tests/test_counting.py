@@ -155,7 +155,7 @@ def restarted_dp(n, q, start, positive=False):
     return dist
 
 
-@pytest.mark.parametrize("q", (2, 3, 5, 13))
+@pytest.mark.parametrize("q", PRIMES)
 def test_one_pass_matches_the_restarted_dp(q):
     start = {PairState(0, 0): q - 1, PairState(0, 1): 1}
     fresh = {PairState(0, 1): 1}
@@ -195,11 +195,12 @@ def test_battery_rows_match_the_per_order_calls():
 @pytest.mark.parametrize("q", PRIMES)
 def test_count_table_matches_the_general_closed_forms(q):
     # Daykin (1960); Kaltofen & Lobo (1996): no DP and no scan
-    table = count_table(40, q)
-    for n in range(41):
+    table = count_table(200, q)
+    for n in range(201):
         expected = ((q - 1) * q ** (2 * n),
                     *((q * q - 1) * q ** (2 * (n - k)) for k in range(1, n + 1)), 1)
         assert table.row(n) == expected
+        assert tuple(nullity_count_closed(n, k, q) for k in range(n + 2)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,8 @@ def test_nullity_count_closed_matches_table():
         nullity_count_closed(3, 5)
     with pytest.raises(ValueError):
         nullity_count_closed(3, -1)
+    with pytest.raises(ValueError):
+        nullity_count_closed(3, 1, 4)
 
 
 # ---------------------------------------------------------------------------
