@@ -65,11 +65,10 @@ from .enumeration import (
     RankCrossCheckError,
     Report,
     XorShift64,
+    brute_force_strings,
     brute_force_table,
-    brute_force_theta_eta,
     enumerate_all,
     extension_census,
-    realized_nullity_strings,
     sample_census,
     spec_index,
     verify_exhaustive,
@@ -95,7 +94,7 @@ __all__ = [
     "transition_weights",
     # enumeration
     "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
-    "RankCrossCheckError", "Report", "XorShift64", "brute_force_table",
-    "brute_force_theta_eta", "enumerate_all", "extension_census",
-    "realized_nullity_strings", "sample_census", "spec_index", "verify_exhaustive",
+    "RankCrossCheckError", "Report", "XorShift64", "brute_force_strings",
+    "brute_force_table", "enumerate_all", "extension_census", "sample_census",
+    "spec_index", "verify_exhaustive",
 ]

@@ -12,12 +12,12 @@ order come in lexicographic order of their digit tuples
 (a_0, a_1, b_1, ..., a_n, b_n).  Rows and ranks come from
 ``toeplitz.engine(q)``, whose ``children`` eliminates the rows a
 parent's q^2 children share once; each child's rank is still an exact
-elimination of its own rows.  Every exhaustive scan (counts,
-theta/eta, strings, and :func:`verify_exhaustive`'s rule censuses and
-kernel predicates) walks only the lex-least spec of each orbit of the
-group G of transpose, scaling and diagonal similarity, which keeps every
-nullity string, and counts it for its whole orbit; verify replays the
-orbit members whose lex index is a multiple of PREDICATE_CHECK_STRIDE.
+elimination of its own rows.  Both exhaustive scans, the string census
+(:func:`brute_force_strings`, which counts, theta/eta and realized
+strings read off) and :func:`verify_exhaustive`, walk only the lex-least
+spec of each orbit of the group G of transpose, scaling and diagonal
+similarity, which keeps every nullity string, and count it for its whole
+orbit; verify replays the orbit members at multiples of PREDICATE_CHECK_STRIDE.
 As independent checks the walker re-ranks from scratch all children of
 every walked spec whose lex index is a multiple of RANK_CHECK_STRIDE and
 ranks each member of its orbit from scratch (the same specs at any
@@ -41,7 +41,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernel_structure
 from .counting import CountTable, PairState, RuleClass, transition_weights
@@ -340,40 +340,73 @@ def extension_census(spec: ToeplitzSpec) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force counts
+# the brute-force string census
 
 
-def _count_scan(args: tuple) -> List[List[int]]:
-    """Counts by nullity per order, each walked spec counted for its
-    orbit; a nullity outside 0..m+1 at order m can only come from the
-    parent's ``children``, and is re-ranked from scratch."""
+def _check_step(q: int, m: int, index: int, rows: list, nu: int, nus: Sequence[int]) -> None:
+    """Bordering by a row and a column moves a rank by 0 to 2, so a child
+    nullity that is negative or more than one step from its parent's
+    ``nu`` is a fault: re-rank that child from scratch, then the parent.
+    A child both agree with is left out, and its order's size check fails."""
+    k = next(k for k, v in enumerate(nus) if v < 0 or abs(v - nu) > 1)
+    child = index * q * q + k
+    _recheck(q, m + 1, child, engine(q).rows(*_index_to_ab(child, m + 1, q)), nus[k])
+    _recheck(q, m, index, rows, nu)
+
+
+def _census_scan(args: tuple) -> Dict[Tuple[int, ...], List[int]]:
+    """How many specs extend each nullity string by a step of -1, 0 and +1:
+    a walked spec tallies its q^2 child nullities once per member of its
+    orbit, which G maps onto the children of every other member.  The
+    roots are tallied under the empty string, as steps from a virtual 0."""
     q, n_max, split, lo, hi = args
-    own = split if lo else 0
-    counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    for m, index, rows, string, _, weight in walk(*args, _group(q, n_max)):
-        if m >= own:
+    own, q2 = split if lo else 0, q * q
+    tally: Dict[Tuple[int, ...], List[int]] = {}
+    for m, index, rows, string, nus, weight in walk(*args, _group(q, n_max)):
+        if not m and not own:
+            tally.setdefault((), [0, 0, 0])[string[0] + 1] += weight
+        if nus and m >= own:
             nu = string[-1]
-            if not 0 <= nu <= m + 1:
-                _recheck(q, m, index, rows, nu)
-            counts[m][nu] += weight
-    return counts
+            down, flat, up = nus.count(nu - 1), nus.count(nu), nus.count(nu + 1)
+            if down + flat + up != q2 or (down and not nu):  # no nullity is -1
+                _check_step(q, m, index, rows, nu, nus)
+            row = tally.get(string) or tally.setdefault(string, [0, 0, 0])
+            row[0] += down * weight
+            row[1] += flat * weight
+            row[2] += up * weight
+    return tally
 
 
-def _add_counts(into: List[List[int]], part: List[List[int]]) -> None:
-    for row, extra in zip(into, part):
-        for nu, c in enumerate(extra):
-            row[nu] += c
+def _add_tallies(into: Dict[tuple, List[int]], part: Dict[tuple, List[int]]) -> None:
+    for string, row in part.items():
+        into[string] = [x + y for x, y in zip(into.get(string, (0, 0, 0)), row)]
+
+
+def brute_force_strings(n_max: int, q: int, *, budget: Optional[int] = None,
+                        jobs: int = 1) -> Dict[Tuple[int, ...], int]:
+    """Every nullity string of the specs of order <= n_max, sorted, with how
+    many specs have it, from one reduced walk; the orbit sizes walked at each
+    order m < n_max, and the census at n_max, must add up to q^(2m+1)."""
+    _check_params(n_max, q, jobs)
+    _require_budget(n_max, q, budget)
+    census, sizes = {}, [0] * (n_max + 1)
+    for string, row in _run(_census_scan, _add_tallies, q, n_max, jobs).items():
+        sizes[len(string)] += sum(row)
+        for value, count in enumerate(row, (string[-1] if string else 0) - 1):
+            if count:
+                census[string + (value,)] = count
+    _check_sizes(q, [size // q ** 2 for size in sizes[1:]] + sizes[-1:])
+    return dict(sorted(census.items()))
 
 
 def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> CountTable:
-    """Exact N(m, nu) for all m <= n_max by enumerating every spec, one
-    orbit of G at a time; each order's counts must add up to q^(2m+1)."""
-    _check_params(n_max, q, jobs)
-    _require_budget(n_max, q, budget)
-    counts = _run(_count_scan, _add_counts, q, n_max, jobs)
-    _check_sizes(q, [sum(row) for row in counts])
-    return CountTable(q=q, counts=tuple(tuple(row) for row in counts))
+    """Exact N(m, nu) for all m <= n_max, read off :func:`brute_force_strings`."""
+    census = brute_force_strings(n_max, q, budget=budget, jobs=jobs)
+    counts = [[0] * (m + 2) for m in range(n_max + 1)]
+    for string, count in census.items():
+        counts[len(string) - 1][string[-1]] += count
+    return CountTable(q=q, counts=tuple(map(tuple, counts)))
 
 
 def _check_sizes(q: int, sizes: Sequence[int]) -> None:
@@ -382,26 +415,6 @@ def _check_sizes(q: int, sizes: Sequence[int]) -> None:
         if size != q ** (2 * m + 1):
             raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
                                        f"{size}, not {q}^{2 * m + 1}")
-
-
-def brute_force_theta_eta(n: int, *, budget: Optional[int] = None) -> Tuple[int, int]:
-    """Counts of order-n GF(2) specs ending (0, 0) and (1, 0), by enumeration."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"order must be a positive integer, got {n!r}")
-    _require_budget(n, 2, budget)
-    ends = [0, 0]
-    for m, index, rows, string, _, weight in walk(2, n, group=_group(2, n)):
-        if m < n:
-            continue
-        if not 0 <= string[-1] <= n + 1:  # a misreported leaf, as in _count_scan
-            _recheck(2, m, index, rows, string[-1])
-        if string[-1] == 0:
-            if not 0 <= string[-2] <= 1:  # one of the two nullities is wrong
-                _recheck(2, m, index, rows, 0)
-                parent = engine(2).rows(*_index_to_ab(index // 4, m - 1, 2))
-                _recheck(2, m - 1, index // 4, parent, string[-2])
-            ends[string[-2]] += weight
-    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +614,6 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
             _check_ranks(q, kids, nus, n, index)
         tally.census(prev_nu, nu, nus, n, index)
     return _rule_report(tally)
-
-
-# ---------------------------------------------------------------------------
-# realized nullity strings
-
-
-def realized_nullity_strings(n_max: int, q: int, *,
-                             budget: Optional[int] = None) -> Set[Tuple[int, ...]]:
-    """Every nullity string realized by some spec of order <= n_max."""
-    _check_params(n_max, q)
-    _require_budget(n_max, q, budget)
-    return {node[3] for node in walk(q, n_max, group=_group(q, n_max))}
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,18 @@ from toepnull import (
     RuleClass,
     ToeplitzSpec,
     XorShift64,
+    brute_force_strings,
     brute_force_table,
-    brute_force_theta_eta,
+    count_string,
     count_table,
     enumerate_all,
     extend,
     extension_census,
     iter_valid_strings,
     rank_nullity,
-    realized_nullity_strings,
     sample_census,
     spec_index,
+    state_distribution,
     theta_eta,
     verify_exhaustive,
 )
@@ -95,7 +96,7 @@ def test_order_zero_scans_stop_at_the_roots(q):
     nodes = [(m, index, string, nus, w) for m, index, _, string, nus, w in walk(q, 0)]
     assert nodes == [(0, a0, (int(a0 == 0),), (), 1) for a0 in range(q)]
     assert brute_force_table(0, q).counts == ((q - 1, 1),)
-    assert realized_nullity_strings(0, q) == {(0,), (1,)}
+    assert set(brute_force_strings(0, q)) == {(0,), (1,)}
     rules, structure = verify_exhaustive(0, q)
     assert rules.passed and structure.passed
     assert {name: c.checked for name, c in rules.checks.items()} == {
@@ -140,16 +141,44 @@ def test_reduced_counts_match_the_full_walk(q, n):
     assert brute_force_table(n, q).counts == full_walk_counts(q, n)
 
 
-def test_reduced_theta_eta_and_strings_match_the_full_walk():
-    for n in range(1, 7):
-        ends = [0, 0]
-        for m, _, _, string, _, _ in walk(2, n):
-            if m == n and string[-1] == 0:
-                ends[string[-2]] += 1
-        assert brute_force_theta_eta(n) == tuple(ends)
-    for q in (2, 3):
-        for n in range(5):
-            assert realized_nullity_strings(n, q) == {node[3] for node in walk(q, n)}
+def test_reduced_census_matches_the_full_walk(monkeypatch):
+    # the identity-group walk yields every spec once: the oracle for the
+    # parent-side orbit weights, serially and over index ranges
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    for q, n_max in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for n in range(n_max + 1):
+            full = Counter(node[3] for node in walk(q, n))
+            for jobs in (1, 2):
+                assert brute_force_strings(n, q, jobs=jobs) == full, (q, n, jobs)
+
+
+def terminal_pairs(census, n):
+    """The census's order-n specs by their last two nullities."""
+    ends = Counter()
+    for string, count in census.items():
+        if len(string) == n + 1:
+            ends[PairState(*string[-2:])] += count
+    return ends
+
+
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 4), (5, 3), (7, 2), (11, 1), (13, 1)])
+def test_census_terminal_pairs_match_the_model(q, n):
+    census = brute_force_strings(n, q)
+    for m in range(1, n + 1):
+        assert terminal_pairs(census, m) == state_distribution(m, q)
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1)])
+def test_census_counts_every_string_as_the_model_does(q, n):
+    # the paper's headline count: every string nu_0..nu_m is realized by
+    # (q - 1 or 1 roots) times the product of its census weights
+    census = brute_force_strings(n, q)
+    assert set(census) == set(iter_valid_strings(n + 1))
+    for string, count in census.items():
+        roots = q - 1 if string[0] == 0 else 1
+        assert count == roots * count_string(PairState(0, string[0]), string, q), string
+    for m in range(n + 1):
+        assert sum(c for s, c in census.items() if len(s) == m + 1) == q ** (2 * m + 1)
 
 
 @pytest.mark.parametrize("q, n", [(2, 6), (3, 3), (5, 2), (7, 1), (13, 1)])
@@ -256,9 +285,7 @@ def test_resolve_budget_rejects_garbage():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="budget must be positive"):
             next(enumerate_all(1, 2, budget=bad))
-        with pytest.raises(ValueError, match="budget must be positive"):
-            brute_force_theta_eta(1, budget=bad)
-        for scan in (brute_force_table, realized_nullity_strings, verify_exhaustive):
+        for scan in (brute_force_table, brute_force_strings, verify_exhaustive):
             with pytest.raises(ValueError, match="budget must be positive"):
                 scan(1, 2, budget=bad)
 
@@ -280,9 +307,7 @@ def test_budget_argument_guards_scans():
     with pytest.raises(BudgetExceededError):
         verify_exhaustive(4, 2, budget=100)
     with pytest.raises(BudgetExceededError):
-        realized_nullity_strings(4, 2, budget=100)
-    with pytest.raises(BudgetExceededError):
-        brute_force_theta_eta(4, budget=100)
+        brute_force_strings(4, 2, budget=100)
     assert brute_force_table(1, 2, budget=8).row(1) == (4, 3, 1)
 
 
@@ -306,11 +331,17 @@ def test_brute_force_matches_direct_enumeration():
         assert table.row(n) == tuple(tally)
 
 
+def census_theta_eta(n):
+    """Order-n GF(2) specs ending (0, 0) and (1, 0), read off the census."""
+    ends = terminal_pairs(brute_force_strings(n, 2), n)
+    return ends[PairState(0, 0)], ends[PairState(1, 0)]
+
+
 def test_brute_force_theta_eta():
-    assert brute_force_theta_eta(1) == (3, 1)
-    assert brute_force_theta_eta(4) == (171, 85)
+    assert census_theta_eta(1) == (3, 1)
+    assert census_theta_eta(4) == (171, 85)
     for n in range(1, 7):
-        assert brute_force_theta_eta(n) == theta_eta(n)
+        assert census_theta_eta(n) == theta_eta(n)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +698,16 @@ def test_censuses_cross_check_ranks(monkeypatch):
 
 
 def test_walk_cross_checks_on_a_stride(monkeypatch):
-    misreport(monkeypatch, 2, [(3, 63)])
+    # off the stride, a child overstated within one step of its parent's
+    # nullity 2 shows only as a count mismatch
+    misreport(monkeypatch, 2, [(3, 3)])
     assert brute_force_table(4, 2).counts != count_table(4, 2).counts
+    monkeypatch.undo()
+    # one overstated from 1 to 2 under a parent of nullity 0 is a step of two
+    misreport(monkeypatch, 2, [(3, 63)])
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_table(4, 2)
+    assert exc.value.args == (3, 63, 1, 1, 2, 1)
     monkeypatch.undo()
     misreport(monkeypatch, 2, [(3, 64)])
     with pytest.raises(RankCrossCheckError) as exc:
@@ -712,24 +751,24 @@ def fault_child(monkeypatch, m, index, k, value):
     monkeypatch.setattr(type(engine(2)), "children", children)
 
 
-def test_an_impossible_pair_fails_the_theta_eta_scan(monkeypatch):
+def test_an_impossible_pair_fails_the_census_scan(monkeypatch):
     # child (0, 0) of the order-2 spec at index 1 claims nullity 0 after
-    # its parent's 2; that used to index past the two ends
+    # its parent's 2, a step of two
     fault_child(monkeypatch, 2, 1, 0, 0)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_theta_eta(3)
+        brute_force_table(3, 2)
     assert exc.value.args == (2, 1, 0, 0, 0, 2)
-    # a parent claiming -1 over a true nullity-0 leaf used to wrap to ends[1]
+    # child (0, 0) of the order-1 spec at index 3 claims -1; its nullity is 1
     monkeypatch.undo()
     fault_child(monkeypatch, 1, 3, 0, -1)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_theta_eta(3)
+        brute_force_table(3, 2)
     assert exc.value.args == (1, 3, 0, 0, -1, 1)
 
 
-def test_a_leaf_out_of_range_fails_the_theta_eta_scan(monkeypatch):
+def test_a_leaf_out_of_range_fails_the_census_scan(monkeypatch):
     # the nullity-0 children of the order-2 spec at index 5 claim 5, past
-    # the 0..4 of an order-3 leaf; they used to drop out of both ends
+    # the 0..4 of an order-3 leaf
     eng = engine(2)
     nus = eng.children(eng.rows(*enumeration._index_to_ab(5, 2, 2)))[1]
     zero = [k for k, nu in enumerate(nus) if nu == 0]
@@ -737,7 +776,7 @@ def test_a_leaf_out_of_range_fails_the_theta_eta_scan(monkeypatch):
     for k in zero:
         fault_child(monkeypatch, 2, 5, k, 5)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_theta_eta(3)
+        brute_force_table(3, 2)
     assert exc.value.args == (2, 5, *divmod(zero[0], 2), 5, 0)
 
 
@@ -747,12 +786,12 @@ def test_a_leaf_out_of_range_fails_the_theta_eta_scan(monkeypatch):
 
 @pytest.mark.parametrize("q", (2, 3))
 def test_realized_strings_are_exactly_the_valid_ones(q):
-    realized = realized_nullity_strings(4, q)
+    realized = set(brute_force_strings(4, q))
     assert realized == set(iter_valid_strings(5))
 
 
 def test_realized_strings_lengths():
-    realized = realized_nullity_strings(2, 2)
+    realized = set(brute_force_strings(2, 2))
     assert {len(s) for s in realized} == {1, 2, 3}
     assert (0, 1, 2) in realized and (1, 1, 1) in realized
     assert (1, 1, 2) not in realized
