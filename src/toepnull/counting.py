@@ -11,13 +11,16 @@ the census of the q^2 one-step extensions is fixed:
     plateau          (d, d), d >= 1    d: q     d-1: q^2 - q
     descending       (d, d - 1), d>=2  d-2: q^2
 
-Every row sums to q^2.  Summing products of these weights over the
-order-0 start (q - 1 invertible 1 x 1 matrices in state (0, 0), one
-zero matrix in state (0, 1), a virtual nullity 0 in front) counts specs
-exactly; the ``enumeration`` module validates that claim wholesale.  The DP
-is one pass over three lists indexed by the current nullity d, the masses
-of (d - 1, d), (d, d) and (d + 1, d), on the weights ``transition_weights``
-returns; every order-based count reads off that pass.
+Every row sums to q^2.  ``_census`` is this table, the one written
+census: the weight DP, ``count_string``, the string grammar (the steps
+with a positive count) and the ``enumeration`` scans all read it.
+Summing products of these weights over the order-0 start (q - 1
+invertible 1 x 1 matrices in state (0, 0), one zero matrix in state
+(0, 1), a virtual nullity 0 in front) counts specs exactly; the
+``enumeration`` module validates that claim wholesale.  The DP is one
+pass over three lists indexed by the current nullity d, the masses of
+(d - 1, d), (d, d) and (d + 1, d); every order-based count reads off
+that pass.
 
 Everything here is exact integer arithmetic; counts get large fast and
 stay correct.
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .field import is_prime
-from .kernel_structure import _allowed_next
 
 
 class RuleClass(Enum):
@@ -64,13 +67,18 @@ class PairState:
 
     @property
     def rule_class(self) -> RuleClass:
-        if self.cur == self.prev + 1:
-            return RuleClass.ASCENDING
-        if self.cur == 0:
-            return RuleClass.ZERO_ZERO if self.prev == 0 else RuleClass.ONE_ZERO
-        if self.cur == self.prev:
-            return RuleClass.PLATEAU
-        return RuleClass.DESCENDING
+        return _rule_class(self.prev, self.cur)
+
+
+def _rule_class(prev: int, cur: int) -> RuleClass:
+    # the one case split over pairs, unchecked: the grammar hands it anything
+    if cur == prev + 1:
+        return RuleClass.ASCENDING
+    if cur == 0:
+        return RuleClass.ZERO_ZERO if prev == 0 else RuleClass.ONE_ZERO
+    if cur == prev:
+        return RuleClass.PLATEAU
+    return RuleClass.DESCENDING
 
 
 def _check_modulus(q: int) -> None:
@@ -78,21 +86,30 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be a prime integer, got {q!r}")
 
 
-def _successors(prev: int, cur: int, q: int) -> Tuple[Tuple[int, int], ...]:
-    # the census table above, unchecked: callers have validated the pair and q
-    if cur == prev + 1:
-        return ((cur + 1, 1), (cur, 2 * q - 2), (cur - 1, (q - 1) ** 2))
-    if cur == 0:
-        return ((0, q * q - q + 1), (1, q - 1)) if prev == 0 else ((0, q * q - q), (1, q))
-    if cur == prev:
-        return ((cur, q), (cur - 1, q * q - q))
-    return ((cur - 1, q * q),)
+def _census(q: int) -> Dict[RuleClass, Tuple[Tuple[int, int], ...]]:
+    """The census table above: per pair class, (step from the current
+    nullity, count) pairs over the q^2 one-step extensions; unchecked."""
+    return {
+        RuleClass.ZERO_ZERO: ((0, q * q - q + 1), (1, q - 1)),
+        RuleClass.ONE_ZERO: ((0, q * q - q), (1, q)),
+        RuleClass.ASCENDING: ((1, 1), (0, 2 * q - 2), (-1, (q - 1) ** 2)),
+        RuleClass.PLATEAU: ((0, q), (-1, q * q - q)),
+        RuleClass.DESCENDING: ((-1, q * q),),
+    }
 
 
 def transition_weights(state: PairState, q: int) -> Tuple[Tuple[int, int], ...]:
     """Census over the q^2 one-step extensions as (next nullity, count) pairs."""
     _check_modulus(q)
-    return _successors(state.prev, state.cur, q)
+    return tuple((state.cur + step, w) for step, w in _census(q)[state.rule_class])
+
+
+@lru_cache(maxsize=4096)
+def _allowed_next(prev: int, cur: int) -> Tuple[int, ...]:
+    """Values that may follow the pair (prev, cur), after a virtual (0, 0):
+    its census row's steps with a positive count, the same at every q.
+    Unchecked, as validators ask; plain ints even for (0, True) or (0, 1.0)."""
+    return tuple(int(cur) + step for step, w in _census(2)[_rule_class(prev, cur)] if w)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +124,10 @@ Dist = Tuple[List[int], List[int], List[int]]
 def _walk(dist: Dist, q: int, steps: int, positive: bool = False) -> Iterator[Dist]:
     """``dist`` and the distribution after each of ``steps`` steps, in turn;
     with ``positive`` the walk drops every step to nullity 0."""
-    def census(prev: int, cur: int) -> Tuple[int, int, int]:
-        weights = dict(_successors(prev, cur, q))  # to cur + 1, cur and cur - 1
-        return weights.get(cur + 1, 0), weights.get(cur, 0), weights.get(cur - 1, 0)
-
-    # weights of the classes zero_zero, one_zero, ascending, plateau, descending
-    (zz_up, zz_flat, _), (oz_up, oz_flat, _) = census(0, 0), census(1, 0)
-    (up, a_flat, a_down), (_, p_flat, p_down) = census(1, 2), census(1, 1)
-    d_down = census(2, 1)[2]
+    # the ten nonzero cells of the table, its rows in RuleClass order, keyed by step
+    zz, oz, rise, plat, fall = map(dict, _census(q).values())
+    zz_up, zz_flat, oz_up, oz_flat, up = zz[1], zz[0], oz[1], oz[0], rise[1]
+    a_flat, a_down, p_flat, p_down, d_down = rise[0], rise[-1], plat[0], plat[-1], fall[-1]
     yield dist
     for _ in range(steps):
         asc, flat, desc = dist
@@ -228,12 +241,13 @@ def count_string(start: PairState, values: Sequence[int], q: int) -> int:
         return 1
     if vals[0] != start.cur:
         raise ValueError(f"position 0: string starts at {vals[0]}, state is at {start.cur}")
+    table = _census(q)
     state = start
     total = 1
     for pos in range(1, len(vals)):
         v = vals[pos]
-        weight = next((w for value, w in _successors(state.prev, state.cur, q)
-                       if value == v), None)
+        weight = next((w for step, w in table[state.rule_class]
+                       if state.cur + step == v), None)
         if weight is None:
             raise ValueError(f"position {pos}: step {state.cur} -> {v} is not grammar-legal")
         total *= weight

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import kernel_structure
-from .counting import CountTable, PairState, RuleClass, transition_weights
+from . import counting, kernel_structure
+from .counting import CountTable, PairState, RuleClass
 from .field import PrimeField
 from .toeplitz import ToeplitzSpec, engine
 from .toeplitz import gf2_rank  # noqa: F401  the perfbench tracer test looks it up here
@@ -516,7 +516,8 @@ class _Tally(dict):
             except ValueError as exc:  # no census fits; only faulty elimination gets here
                 self.record(STEP_RULE, False, m, index, str(exc), weight)
                 return
-            cached = (state.rule_class.value, dict(transition_weights(state, self.q)))
+            cls = state.rule_class
+            cached = (cls.value, {nu + step: w for step, w in counting._census(self.q)[cls]})
             self.expected[prev_nu, nu] = cached
         name, expected = cached
         census: Dict[int, int] = {}
@@ -533,14 +534,6 @@ class _Tally(dict):
         self.sizes = [x + y for x, y in zip(self.sizes, part.sizes)]
 
 
-_REPRESENTATIVE = {
-    RuleClass.ZERO_ZERO: PairState(0, 0),
-    RuleClass.ONE_ZERO: PairState(1, 0),
-    RuleClass.ASCENDING: PairState(1, 2),
-    RuleClass.PLATEAU: PairState(2, 2),
-    RuleClass.DESCENDING: PairState(3, 2),
-}
-
 START_RULE = "start"
 STEP_RULE = "step_bound"
 
@@ -548,9 +541,8 @@ STEP_RULE = "step_bound"
 def _rule_report(tally: _Tally) -> Report:
     """One check per pair class, each with its expected census, and the
     step bound |nu_m - nu_{m-1}| <= 1 if a measured pair broke it."""
-    for cls, state in _REPRESENTATIVE.items():
-        tally[cls.value].expected_offsets = {
-            value - state.cur: w for value, w in transition_weights(state, tally.q)}
+    for cls, row in counting._census(tally.q).items():
+        tally[cls.value].expected_offsets = dict(row)
     checks = {cls.value: tally[cls.value] for cls in RuleClass}
     if STEP_RULE in tally:
         checks[STEP_RULE] = tally[STEP_RULE]

@@ -6,9 +6,10 @@ most 1, a plateau at positive height can only hold or fall, and once a
 string strictly falls inside positive territory it keeps falling by
 exactly 1 until it hits 0.  Globally that is the same as saying every
 string is a prefix of a concatenation of zero runs and "tents"
-1, 2, ..., d, (d repeated), d-1, ..., 1, 0.  Both readings are
-implemented here, independently, so they can be checked against each
-other and against exhaustively enumerated matrices.
+1, 2, ..., d, (d repeated), d-1, ..., 1, 0.  The local reading is the
+support of the census table in ``counting``: a step is legal when its
+count is positive.  The tent parse here is its independent check, and
+both are checked against exhaustively enumerated matrices.
 
 The predicates at the bottom capture how kernels evolve along an
 embedding chain: a kernel born at a 0 -> 1 step has a generator with
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
+from .counting import _allowed_next
 from .toeplitz import (
     ToeplitzSpec,
     Vector,
@@ -53,43 +55,19 @@ def shift_sigma(v: Sequence[int]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# string grammar, two independent implementations
-
-
-def _allowed_next(prev: int, cur: int) -> Tuple[int, ...]:
-    """Values that may legally follow the pair (prev, cur).
-
-    ``prev`` is the value before ``cur``; use the virtual value 0 in
-    front of a string's first entry.
-    """
-    if cur == 0:
-        return (0, 1)
-    if prev < cur:
-        return (cur + 1, cur, cur - 1)
-    if prev == cur:
-        return (cur, cur - 1)
-    return (cur - 1,)
+# string grammar, two independent readings
 
 
 def validate_nullity_string(values: Sequence[int]) -> bool:
-    """Check a candidate string against the local step rules.
-
-    Rules, with a virtual 0 in front of the first value: the first value
-    is 0 or 1; after a 0 comes 0 or 1; while rising, anything within one
-    step; on a positive plateau, hold or fall by 1; after a strict fall
-    to positive height, fall by exactly 1.
-    """
-    vals = list(values)
-    if not vals:
-        return True
-    if vals[0] not in (0, 1):
-        return False
-    prev = 0
-    for i in range(1, len(vals)):
-        cur = vals[i - 1]
-        if vals[i] not in _allowed_next(prev, cur):
+    """Check a candidate string against the local step rules, from a
+    virtual pair (0, 0) in front: after a 0 comes 0 or 1; while rising,
+    anything within one step; on a positive plateau, hold or fall by 1;
+    after a strict fall to positive height, fall by exactly 1."""
+    prev = cur = 0
+    for v in values:
+        if v not in _allowed_next(prev, cur):
             return False
-        prev = cur
+        prev, cur = cur, v
     return True
 
 
@@ -151,7 +129,7 @@ def iter_valid_strings(max_len: int) -> Iterator[Tuple[int, ...]]:
 
     if max_len < 1:
         return
-    for start in (0, 1):
+    for start in sorted(_allowed_next(0, 0)):
         yield from walk((start,), 0, start)
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from toepnull import (__version__, cli, count_table, counting, enumeration,
-                      kernel_structure, toeplitz)
-from toepnull.counting import CountTable, PairState, count_string
+from toepnull import (__version__, cli, count_table, enumeration, kernel_structure,
+                      toeplitz)
+from toepnull.counting import CountTable, PairState, RuleClass, count_string
 from toepnull.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -25,6 +25,9 @@ from toepnull.cli import (
     EXIT_UNSUPPORTED,
     main,
 )
+
+from census_faults import skew_census
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -325,16 +328,8 @@ def inject_verify_faults(monkeypatch, *, rules):
     more than three orders, replayed at every fifth spec; with ``rules``,
     also expect one child too many at the top offset of an ascending
     census."""
-    real = enumeration.transition_weights
-
-    def skewed(state, q):
-        weights = real(state, q)
-        if state.rule_class.value != "ascending":
-            return weights
-        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
-
     if rules:
-        monkeypatch.setattr(enumeration, "transition_weights", skewed)
+        skew_census(monkeypatch, RuleClass.ASCENDING, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
     monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
 
@@ -609,21 +604,18 @@ def test_mismatch_exit_when_enumeration_disagrees(capsys, monkeypatch):
 
 
 def test_a_moved_plateau_weight_reaches_the_model(capsys, monkeypatch):
-    # the census is written once, in counting._successors: move one unit of
-    # the plateau's weight from d - 1 to d and every count must follow it
-    real = counting._successors
-
-    def successors(prev, cur, q):
-        if cur == prev >= 1:
-            return (cur, q + 1), (cur - 1, q * q - q - 1)
-        return real(prev, cur, q)
-
+    # the census is written once, in counting's table: move one unit of the
+    # plateau's weight from d - 1 to d and the DP, count_string and the
+    # exhaustive rule checks must all follow it
     before = count_table(4, 3)
-    monkeypatch.setattr(counting, "_successors", successors)
+    skew_census(monkeypatch, RuleClass.PLATEAU, 1, -1)
     assert count_table(4, 3) != before
     code, out, err = run(capsys, "table", "--n", "4", "--q", "3", "--check-brute-force")
     assert (code, err) == (EXIT_MISMATCH, "")
     assert out.endswith("enumeration check: MISMATCH\n")
+    assert run(capsys, "count-string", "--q", "3", "--start", "1,1", "--string", "1,1") == (
+        EXIT_OK, "4\n", "")
+    assert run(capsys, "verify", "--n", "3", "--q", "3")[0] == EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------

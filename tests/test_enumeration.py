@@ -36,6 +36,7 @@ from toepnull import cli, enumeration, kernel_structure
 from toepnull.enumeration import MAX_JOBS, _Tally, walk
 from toepnull.toeplitz import engine, gfq_rows
 
+from census_faults import skew_census
 from prefix_oracle import scratch_nullity_string
 
 F2 = PrimeField(2)
@@ -408,15 +409,7 @@ def test_reduced_verify_matches_the_full_walk(monkeypatch, q, n_max):
 def test_reduced_verify_fails_like_the_full_walk(monkeypatch):
     # faults that depend only on nullities fail whole orbits: the failure
     # counts and the first counterexamples match the full walk's
-    real = enumeration.transition_weights
-
-    def skewed(state, q):
-        weights = real(state, q)
-        if state.rule_class.value != "plateau":
-            return weights
-        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
-
-    monkeypatch.setattr(enumeration, "transition_weights", skewed)
+    skew_census(monkeypatch, RuleClass.PLATEAU, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
     monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
@@ -457,15 +450,7 @@ def test_exhaustive_verify_starts_one_pool(monkeypatch, capsys):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the injected faults")
 def test_first_counterexample_is_independent_of_jobs(monkeypatch):
-    real = enumeration.transition_weights
-
-    def skewed(state, q):
-        weights = real(state, q)
-        if state.rule_class.value != "ascending":
-            return weights
-        return tuple((value, w + 1 if i == 0 else w) for i, (value, w) in enumerate(weights))
-
-    monkeypatch.setattr(enumeration, "transition_weights", skewed)
+    skew_census(monkeypatch, RuleClass.ASCENDING, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
     monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
     rules, structure = zip(*(verify_exhaustive(3, 3, jobs=jobs) for jobs in (1, 2)))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepnull import (
+    PairState,
     PreconditionError,
     PrimeField,
     ToeplitzSpec,
@@ -18,9 +19,11 @@ from toepnull import (
     kernel_basis,
     shift_omega,
     shift_sigma,
+    transition_weights,
     validate_nullity_string,
     validate_nullity_string_by_patterns,
 )
+from toepnull.counting import _allowed_next
 
 F2 = PrimeField(2)
 
@@ -100,6 +103,59 @@ def test_validators_agree_on_arbitrary_strings(values):
     assert validate_nullity_string(values) == validate_nullity_string_by_patterns(
         values
     )
+
+
+# ---------------------------------------------------------------------------
+# the paper's local rules, written out: the oracle for the census table's support
+
+
+def literal_allowed_next(prev, cur):
+    if cur == 0:
+        return {0, 1}
+    if prev < cur:
+        return {cur + 1, cur, cur - 1}
+    if prev == cur:
+        return {cur, cur - 1}
+    return {cur - 1}
+
+
+def literal_validate(values):
+    vals = list(values)
+    if not vals:
+        return True
+    if vals[0] not in (0, 1):
+        return False
+    prev = 0
+    for i in range(1, len(vals)):
+        cur = vals[i - 1]
+        if vals[i] not in literal_allowed_next(prev, cur):
+            return False
+        prev = cur
+    return True
+
+
+def test_the_grammar_is_the_support_of_the_census_at_every_q():
+    pairs = [(prev, cur) for cur in range(9) for prev in (cur - 1, cur, cur + 1) if prev >= 0]
+    for prev, cur in pairs:
+        literal = literal_allowed_next(prev, cur)
+        assert set(_allowed_next(prev, cur)) == literal
+        for q in (2, 3, 5, 7, 11, 13):
+            weights = transition_weights(PairState(prev, cur), q)
+            assert {value for value, w in weights if w > 0} == literal
+
+
+def test_validator_matches_the_literal_rules():
+    for length in range(8):
+        for string in itertools.product(range(-1, 4), repeat=length):
+            assert validate_nullity_string(string) == literal_validate(string)
+
+
+def test_validator_returns_on_odd_values():
+    _allowed_next.cache_clear()
+    for string in [(1.0, 2.0), (True, 2), (0, 1.5), ("a",), (None, 1), (1, None)]:
+        assert validate_nullity_string(string) is literal_validate(string)
+    # odd values asked first leave the grammar's cached steps plain ints
+    assert all(type(v) is int for s in iter_valid_strings(4) for v in s)
 
 
 def test_iter_valid_strings_matches_validators():
