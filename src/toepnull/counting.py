@@ -159,13 +159,20 @@ def _to_zero(dist: Dist, q: int) -> int:
     return flat[0] + desc[0]
 
 
+def _start(q: int) -> Dict[int, int]:
+    """The order-0 start census, by nullity: a_0 != 0 gives 0, a_0 == 0
+    gives 1.  The DP starts from it and the exhaustive scan checks it."""
+    return {0: q - 1, 1: 1}
+
+
 def _orders(n: int, q: int) -> Iterator[Dist]:
-    """The distributions of orders 0..n, from the order-0 start: a_0 != 0
-    gives nullity 0, a_0 == 0 gives nullity 1, both after a virtual 0."""
+    """The distributions of orders 0..n, from the order-0 start, each
+    nullity after a virtual 0."""
     _check_modulus(q)
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return _walk(([0, 1], [q - 1, 0], [0, 0]), q, n)
+    start = _start(q)
+    return _walk(([0, start[1]], [start[0], 0], [0, 0]), q, n)
 
 
 def state_distribution(n: int, q: int) -> Dict[PairState, int]:

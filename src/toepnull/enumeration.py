@@ -585,11 +585,11 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
     a given (n, q, trials, seed) always examines the same specs.  Useful
     far beyond the exhaustive budget; cost scales with trials, not q^n.
-    A trial's (previous, current) nullity is the tail of its bordered
-    string (``prefix_nullities``, with a virtual 0 before order 0), and
-    ``children`` gives the census: two eliminations per trial.  The
-    children of every RANK_CHECK_STRIDE-th trial, from trial 0 on, are
-    re-ranked from scratch.
+    A trial's (previous, current) nullity is the tail of its nullity
+    string (``prefix_nullities``, one elimination of its rows, with a
+    virtual 0 before order 0), and ``children`` gives the census: two
+    eliminations per trial.  The children of every RANK_CHECK_STRIDE-th
+    trial, from trial 0 on, are re-ranked from scratch.
     """
     fld = _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
@@ -719,14 +719,14 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
     Child censuses and kernel predicates do not change under G, so each
     walked spec counts for its whole orbit and a failing orbit names its
     least member.  The rule report compares the census of every spec of
-    order < n_max with the weight model, and checks the order-0 start:
-    over the q diagonal digits, q - 1 specs open at nullity 0 and one at
-    nullity 1.  The structure report checks the four kernel-structure
-    predicates on every qualifying step, on the engine's own
-    representations; each orbit member of such a step whose lex index is
-    a multiple of PREDICATE_CHECK_STRIDE, walked or not, is replayed
-    through the public predicates, which must agree.  Each order's orbit
-    sizes must add up to q^(2m+1).
+    order < n_max with the weight model, and checks the order-0 start
+    over the q diagonal digits against the census the DP starts from.
+    The structure report checks the four kernel-structure predicates on
+    every qualifying step, on the engine's own representations; each
+    orbit member of such a step whose lex index is a multiple of
+    PREDICATE_CHECK_STRIDE, walked or not, is replayed through the public
+    predicates, which must agree.  Each order's orbit sizes must add up
+    to q^(2m+1).
     """
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
@@ -736,13 +736,16 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
     # the order-0 start: census of the first nullity over the q diagonal digits
     eng = engine(q)
     nus = [1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)]
-    start = Check(START_RULE, checked=1, expected_offsets={0: q - 1, 1: 1})
-    if dict(Counter(nus)) != start.expected_offsets:
-        a0 = next(a0 for a0, nu in enumerate(nus) if nu != (a0 == 0))
+    start = Check(START_RULE, checked=1, expected_offsets=counting._start(q))
+    census = Counter(nus)
+    if dict(census) != start.expected_offsets:
+        # the first root whose nullity is more frequent than expected
+        a0 = next((a0 for a0, nu in enumerate(nus)
+                   if census[nu] > start.expected_offsets.get(nu, 0)), 0)
         start.failures = 1
         start.counterexample = Counterexample(
             order=0, a=(a0,), b=(), index=a0,
-            detail=f"start census {dict(Counter(nus))} != expected {start.expected_offsets}")
+            detail=f"start census {dict(census)} != expected {start.expected_offsets}")
     rules = _rule_report(tally)
     rules.checks[START_RULE] = start
     names = sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))

@@ -7,8 +7,8 @@ of the (n+1) x (n+1) matrix is ``a[j-i]`` on or above the diagonal and
 ``a`` and ``b``, which embeds the old matrix in the top-left corner of
 the new one (and, by constant diagonals, in the bottom-right corner
 too).  The nullity string of a spec lists the kernel dimension of every
-embedded prefix; one elimination, bordered by a row and a column per
-order, gives all of them.
+embedded prefix; the rank profile of one elimination of the whole
+matrix gives all of them.
 
 Two elimination engines implement the same exact arithmetic on rows
 packed into one integer each, entry j in the lane at bit ``bits * j``,
@@ -18,10 +18,11 @@ building an echelon form row by row in a dict keyed by pivot column:
   every entry of a row at once, and
 * a GF(2) fast path on 1-bit lanes, eliminating with word-wide xors.
 
-Each keeps only its arithmetic: ``rows``, ``rank``, ``rref`` and the
-scans' hot loops ``children`` and ``prefix_nullities``; their base
-``_Engine`` builds the kernel, spans, the zero shift, end entries and
-entry tuples on ``rref``, once for both.  :func:`engine` picks one per
+Each keeps only its arithmetic: ``rows``, ``rank``, ``rref``, the
+scans' hot loop ``children``, and ``_extend``, its pivot loop run on
+one more row; their base ``_Engine`` builds the kernel, spans, the zero
+shift, end entries and entry tuples on ``rref``, and the prefix
+nullities on ``_extend``, once for both.  :func:`engine` picks one per
 modulus, every caller goes through it, and entry tuples appear only at
 its ``vectors`` and the public functions.  Kernels and spans are
 canonical: the unique reduced echelon basis, rows ordered by pivot with
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .field import DEFAULT_MAX_Q, PrimeField, element_value
 
@@ -55,10 +57,10 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(_gf2_pivots(rows))
 
 
-def _gf2_pivots(rows: Iterable[int]) -> dict:
+def _gf2_pivots(rows: Iterable[int], piv: Optional[dict] = None) -> dict:
     """Echelon form of packed rows, keyed by each row's lowest set bit,
-    which no other row shares."""
-    piv: dict = {}
+    which no other row shares; given ``piv``, the rows extend it."""
+    piv = {} if piv is None else piv
     for r in rows:
         while r:
             low = r & -r
@@ -124,11 +126,13 @@ def gfq_rank(rows: Iterable[Union[int, Sequence[int]]], q: int) -> int:
                              for r in rows], q))
 
 
-def _lane_pivots(rows: List[int], q: int) -> dict:
+def _lane_pivots(rows: Sequence[int], q: int, piv: Optional[dict] = None, w: int = 0) -> dict:
     """Echelon form of lane rows modulo q, keyed by each row's lowest
-    nonzero lane, which no other row shares; the row has entry 1 there."""
-    sub, w = _lane_tables(q), max(rows, default=0).bit_length() + 7 >> 3
-    piv: dict = {}
+    nonzero lane, which no other row shares; the row has entry 1 there.
+    Given ``piv``, the rows extend it, and ``w`` bytes must hold every
+    row of both (the default fits the widest of ``rows``)."""
+    sub, w = _lane_tables(q), w or max(rows, default=0).bit_length() + 7 >> 3
+    piv = {} if piv is None else piv
     for r in rows:
         while r:
             shift = (r & -r).bit_length() - 1 & ~7
@@ -225,6 +229,27 @@ class _Engine:
         mask = (1 << self.bits) - 1
         return v & mask, v >> self.bits * (width - 1) & mask
 
+    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
+        made = [0] * len(a)  # made[m]: pivots in T_m but in no smaller leading block
+        for i, c in self._rank_profile(self.rows(a, b), len(a)):
+            made[max(i, c)] += 1
+        return tuple(m + 1 - rank for m, rank in enumerate(accumulate(made)))
+
+    def _rank_profile(self, rows: Sequence[int], width: int) -> List[Tuple[int, int]]:
+        """(row, lane) of each pivot made by eliminating ``rows`` of
+        ``width`` lanes in order through the engine's own pivot loop: rows
+        0..i cut to lanes 0..k have as rank the count of pivots with row
+        <= i and lane <= k, as each pivot row is its row minus earlier
+        ones and is 0 in every lane before its pivot."""
+        piv: dict = {}
+        profile = []
+        for i, r in enumerate(rows):
+            before = len(piv)
+            self._extend(piv, r, width)
+            if len(piv) > before:
+                profile.append((i, self._lane(next(reversed(piv)))))
+        return profile
+
 
 class _PackedGF2(_Engine):
     """GF(2) on 1-bit lanes, eliminated by xor."""
@@ -269,46 +294,12 @@ class _PackedGF2(_Engine):
         return kids, [free - (h > 0) - (l > 0) + (h == l > 0)
                       for h in (h0, h1) for l in (l0, l1)]
 
-    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        piv: dict = {}  # lowest set bit -> reduced row of E, as in _gf2_pivots
-        ops: dict = {}  # lowest set bit -> its row of U, bit i for row i of T
-        zeros: List[int] = []  # rows of U whose row of E is 0
-        col = row = 0  # column m above the diagonal, row m left of it
-        out = []
-        for m in range(len(a)):
-            if m:
-                col, row = col << 1 | a[m], row << 1 | b[m - 1]
-            new = 1 << m
-            # the new column: row i of E gains U_i . col
-            for low, u in ops.items():
-                if (u & col).bit_count() & 1:
-                    piv[low] |= new
-            # the first zero row that gains a 1 there becomes its pivot,
-            # and is added to every other one that does
-            keep, rest = None, []
-            for u in zeros:
-                if (u & col).bit_count() & 1:
-                    if keep is None:
-                        keep = ops[new] = u
-                        piv[new] = new
-                        continue
-                    u ^= keep
-                rest.append(u)
-            zeros = rest
-            # the new row, with U row e_m, reduced by the pivots
-            e, u = row | a[0] << m, new
-            while e:
-                low = e & -e
-                p = piv.get(low)
-                if p is None:
-                    piv[low], ops[low] = e, u
-                    break
-                e ^= p
-                u ^= ops[low]
-            else:
-                zeros.append(u)
-            out.append(len(zeros))
-        return tuple(out)
+    def _extend(self, piv: dict, row: int, width: int) -> None:
+        _gf2_pivots((row,), piv)
+
+    @staticmethod
+    def _lane(key: int) -> int:
+        return key.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -341,46 +332,12 @@ class _LaneGFq(_Engine):
         # rank of a child = rank of the tail + rank of its two residuals
         return kids, [m + 2 - len(piv) - (h > 0) - (l > 0) + (h == l > 0) for h in hs for l in ls]
 
-    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        q, sub = self.q, _lane_tables(self.q)
-        piv: dict = {}  # pivot lane -> reduced row of E, as in _lane_pivots
-        ops: dict = {}  # pivot lane -> its row of U, lane i for row i of T
-        zeros: List[int] = []  # rows of U whose row of E is 0
-        col = row = 0  # column m above the diagonal, row m left of it
-        out = []
-        for m in range(len(a)):
-            w = m + 1
-            if m:
-                col, row = col << 8 | a[m], row << 8 | b[m - 1]
-            # the new column: row i of E gains U_i . col
-            for c, u in ops.items():
-                if f := sum((u * q + col).to_bytes(w, "little").translate(sub[q])) % q:
-                    piv[c] |= f << 8 * m
-            # the first zero row that gains a nonzero entry there, scaled
-            # to 1, becomes its pivot and clears it from the other ones
-            keep, rest = None, []
-            for u in zeros:
-                if f := sum((u * q + col).to_bytes(w, "little").translate(sub[q])) % q:
-                    if keep is None:
-                        keep = ops[m] = _lanewise(sub[q + f], 0, u, q, w)
-                        piv[m] = 1 << 8 * m
-                        continue
-                    u = _lanewise(sub[f], u, keep, q, w)
-                rest.append(u)
-            zeros = rest
-            # the new row, with U row e_m, reduced by the pivots
-            e, u = row | a[0] << 8 * m, 1 << 8 * m
-            while e:
-                c = (e & -e).bit_length() - 1 >> 3
-                f = e >> 8 * c & 255
-                if c not in piv:
-                    piv[c], ops[c] = (_lanewise(sub[q + f], 0, x, q, w) for x in (e, u))
-                    break
-                e, u = _lanewise(sub[f], e, piv[c], q, w), _lanewise(sub[f], u, ops[c], q, w)
-            else:
-                zeros.append(u)
-            out.append(len(zeros))
-        return tuple(out)
+    def _extend(self, piv: dict, row: int, width: int) -> None:
+        _lane_pivots((row,), self.q, piv, width)
+
+    @staticmethod
+    def _lane(key: int) -> int:
+        return key
 
 
 @lru_cache(maxsize=None)
@@ -393,11 +350,13 @@ def engine(q: int) -> _Engine:
     lanes: ``kernel`` (canonical, of a square matrix), ``span``,
     ``vectors`` (entry tuples), ``sigma`` (a zero prepended to every
     kernel vector; an appended one changes no packed int) and ``ends``
-    (the first and last entry).  Each engine keeps its arithmetic:
-    ``rows``, ``rank`` (from scratch; it only reads its rows), ``rref``,
-    and the scans' two hot loops below, which inline its xor or
-    translate: shared per-operation hooks would add a call to every row
-    operation there, and they saved no lines.
+    (the first and last entry), and on ``_extend`` (the engine's pivot
+    loop, extending an echelon by a row) ``prefix_nullities``.  Each
+    engine keeps its arithmetic: ``rows``, ``rank`` (from scratch; it
+    only reads its rows), ``rref``, ``_extend`` and the scans' hot loop
+    ``children``, which inlines its xor or translate: shared
+    per-operation hooks would add a call to every row operation there,
+    and they saved no lines.
 
     ``children`` gives the rows of the q^2 one-step extensions in
     (a_new, b_new) order, read off the parent's rows, and the nullity of
@@ -410,15 +369,14 @@ def engine(q: int) -> _Engine:
 
     ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
     the leading block of the next, for ``nullity_string`` and for the
-    (previous, current) pair of each ``sample_census`` trial, from one
-    elimination state: the reduced rows E of T_m and the row operations
-    U with E = U T_m.  To go to T_{m+1} it appends U c to E, c being the
-    new column; makes the first zero row of E with a nonzero new entry
-    that column's pivot and clears the entry from the other zero rows;
-    and reduces the new row, with U row e_{m+1}, by the pivots.  The
-    nullity is the count of zero rows.  That is O(m^2) work per order,
-    O(n^3) per string, with no call to ``rows`` or ``rank``, which stay
-    the from-scratch path the tests check it against.
+    (previous, current) pair of each ``sample_census`` trial.  It feeds
+    the rows of T_n once, in order, to ``_extend`` and notes the row i
+    and lane c of each pivot made: the rank profile of the elimination
+    (Dumas, Pernet & Sultan, "Computing the rank profile matrix", ISSAC
+    2015).  Rows 0..m cut to lanes 0..m are T_m, so its rank is the
+    count of pivots with max(i, c) <= m.  That is one ``rows`` call and
+    about one ``rank``'s work per string, O(n^3); ``rank`` of each
+    truncated prefix is the from-scratch path the tests check it against.
     """
     return _PackedGF2() if q == 2 else _LaneGFq(q)
 
@@ -491,7 +449,7 @@ def truncate(spec: ToeplitzSpec) -> ToeplitzSpec:
 def nullity_string(spec: ToeplitzSpec) -> Vector:
     """Nullity of every embedded prefix, order 0 through order n.
 
-    One elimination state is bordered by a row and a column per order
+    Read off the rank profile of one elimination of the whole matrix
     (``prefix_nullities`` of :func:`engine`), at O(n^3) for the string.
     ``rank_nullity`` of each truncated prefix is its from-scratch check.
     """

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from toepnull import (__version__, cli, count_table, enumeration, kernel_structure,
-                      toeplitz)
+from toepnull import (__version__, cli, count_table, counting, enumeration,
+                      kernel_structure, toeplitz)
 from toepnull.counting import CountTable, PairState, RuleClass, count_string
 from toepnull.cli import (
     EXIT_BUDGET,
@@ -618,6 +618,18 @@ def test_a_moved_plateau_weight_reaches_the_model(capsys, monkeypatch):
     assert run(capsys, "verify", "--n", "3", "--q", "3")[0] == EXIT_MISMATCH
 
 
+def test_a_moved_start_reaches_the_dp_and_the_start_check(capsys, monkeypatch):
+    # the order-0 start census is written once too: one zero matrix more
+    # moves the DP's first row and fails the exhaustive start check
+    monkeypatch.setattr(counting, "_start", lambda q: {0: q - 2, 1: 2})
+    assert count_table(0, 3).counts == ((1, 2),)
+    code, report = run_json(capsys, "verify", "--n", "1", "--q", "3")
+    assert code == EXIT_MISMATCH
+    start = next(c for c in report["checks"] if c["name"] == "rule:start")
+    assert (start["passed"], start["expected_offsets"]) == (False, {"0": 1, "1": 2})
+    assert start["counterexample"]["a"] == [1]  # the first root at the over-counted nullity 0
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -913,7 +925,7 @@ def test_public_surface_resolves():
 
 
 def test_public_annotations_resolve():
-    from toepnull import counting, field
+    from toepnull import field
 
     for module in (field, toeplitz, kernel_structure, counting, enumeration, cli):
         for name, obj in vars(module).items():

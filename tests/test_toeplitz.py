@@ -327,7 +327,7 @@ def test_shared_children_match_from_scratch_on_random_specs(q):
 
 
 # ---------------------------------------------------------------------------
-# the bordered nullity string against from-scratch elimination
+# the nullity string against from-scratch elimination
 
 
 def check_against_scratch(specs):
@@ -383,9 +383,34 @@ def test_long_strings_need_no_from_scratch_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("from-scratch elimination in nullity_string")
 
-    for name in ("gf2_rank", "gfq_rank", "gf2_pack_rows", "gfq_rows"):
+    # one rows build per string, and each of its n + 1 rows enters the
+    # elimination loop once: an elimination per prefix feeds it O(n^2)
+    calls = {"rows": 0, "fed": 0}
+
+    def counted_build(build):
+        def wrapper(a, b):
+            calls["rows"] += 1
+            return build(a, b)
+        return wrapper
+
+    def counted_loop(loop):
+        def wrapper(rows, *args):
+            rows = list(rows)
+            calls["fed"] += len(rows)
+            return loop(rows, *args)
+        return wrapper
+
+    for name in ("gf2_rank", "gfq_rank"):
         monkeypatch.setattr(toeplitz, name, refuse)
-    strings = [nullity_string(spec) for spec in specs]
+    for name in ("gf2_pack_rows", "gfq_rows"):
+        monkeypatch.setattr(toeplitz, name, counted_build(getattr(toeplitz, name)))
+    for name in ("_gf2_pivots", "_lane_pivots"):
+        monkeypatch.setattr(toeplitz, name, counted_loop(getattr(toeplitz, name)))
+    strings = []
+    for spec in specs:
+        before = dict(calls)
+        strings.append(nullity_string(spec))
+        assert (calls["rows"] - before["rows"], calls["fed"] - before["fed"]) == (1, spec.size)
     monkeypatch.undo()
     for spec, values in zip(specs, strings):
         assert len(values) == spec.size and validate_nullity_string(values)
@@ -510,6 +535,30 @@ def oracle_specs(rng, q):
     for _ in range(12):
         m = rng.randrange(2, 21)
         yield (zero_prefix_digits if rng.random() < 0.25 else random_digits)(rng, q, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_rank_profile_gives_the_rank_of_every_leading_block(q):
+    # rectangular, not Toeplitz: rows 0..i cut to columns 0..k have as
+    # rank the recorded pivots with row <= i and lane <= k
+    rng = random.Random(7000 + q)
+    top = q - 1
+    engines = [engine(q)] + ([toeplitz._LaneGFq(2)] if q == 2 else [])
+    for _ in range(30):
+        height, width = rng.randrange(1, 13), rng.randrange(1, 13)
+        kind = rng.randrange(3)
+        rows = [[rng.randrange(q) if kind == 0 else rng.choice((0, top)) if kind == 1
+                 else rng.randrange(q) * (rng.random() < 0.3) for _ in range(width)]
+                for _ in range(height)]
+        rows[rng.randrange(height)] = [0] * width
+        rows[rng.randrange(height)] = [top] * width
+        for eng in engines:
+            packed = [sum(x << eng.bits * j for j, x in enumerate(row)) for row in rows]
+            profile = eng._rank_profile(packed, width)
+            for i in range(height):
+                for k in range(width):
+                    made = sum(r <= i and c <= k for r, c in profile)
+                    assert made == list_rank([row[:k + 1] for row in rows[:i + 1]], q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
