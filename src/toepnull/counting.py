@@ -283,20 +283,25 @@ def nullity1_structured_count(n: int) -> int:
     return _row(_last(_walk(([0, 1], [0, 0], [0, 0]), 2, n, positive=True)), n)[1]
 
 
+def _strings(max_len: int, positive: bool = False) -> Iterator[Tuple[int, ...]]:
+    """Every grammar-valid string of 1 to ``max_len`` values, with
+    ``positive`` only those whose values are all positive: depth first
+    from the virtual pair (0, 0), successor values ascending."""
+
+    def walk(prefix: Tuple[int, ...], prev: int, cur: int) -> Iterator[Tuple[int, ...]]:
+        if prefix:
+            yield prefix
+        if len(prefix) < max_len:
+            for nxt in sorted(v for v in _allowed_next(prev, cur) if v or not positive):
+                yield from walk(prefix + (nxt,), cur, nxt)
+
+    return walk((), 0, 0)
+
+
 def iter_positive_strings(length: int) -> Iterator[Tuple[int, ...]]:
     """All grammar-valid strings of exactly ``length`` values with every
     value positive (so they start at 1).  Depth-first, ascending."""
-    if length < 1:
-        return
-
-    def walk(prefix: Tuple[int, ...], prev: int, cur: int) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for nxt in sorted(filter(None, _allowed_next(prev, cur))):
-            yield from walk(prefix + (nxt,), cur, nxt)
-
-    yield from walk((1,), 0, 1)
+    return (s for s in _strings(length, positive=True) if len(s) == length)
 
 
 def positive_string_counts(m: int, k: int) -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from multiprocessing import Pool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -516,8 +517,7 @@ class _Tally(dict):
             except ValueError as exc:  # no census fits; only faulty elimination gets here
                 self.record(STEP_RULE, False, m, index, str(exc), weight)
                 return
-            cls = state.rule_class
-            cached = (cls.value, {nu + step: w for step, w in counting._census(self.q)[cls]})
+            cached = (state.rule_class.value, dict(counting.transition_weights(state, self.q)))
             self.expected[prev_nu, nu] = cached
         name, expected = cached
         census: Dict[int, int] = {}
@@ -585,23 +585,25 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
     a given (n, q, trials, seed) always examines the same specs.  Useful
     far beyond the exhaustive budget; cost scales with trials, not q^n.
-    A trial's (previous, current) nullity is the tail of its nullity
-    string (``prefix_nullities``, one elimination of its rows, with a
-    virtual 0 before order 0), and ``children`` gives the census: two
-    eliminations per trial.  The children of every RANK_CHECK_STRIDE-th
-    trial, from trial 0 on, are re-ranked from scratch.
+    A trial's rows are built once, from its digits, which also give its
+    lex index.  Its (previous, current) nullity is the tail of its
+    nullity string (``prefix_nullities``, one elimination of the rows,
+    with a virtual 0 before order 0), and ``children`` of the same rows
+    gives the census: two eliminations per trial.  The children of every
+    RANK_CHECK_STRIDE-th trial, from trial 0 on, are re-ranked from scratch.
     """
-    fld = _check_params(n, q)
+    _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
     rng = XorShift64(seed)
     eng = engine(q)
     tally = _Tally(q)
     for trial in range(trials):
-        a, b = _digits_to_ab([rng.below(q) for _ in range(2 * n + 1)])
-        prev_nu, nu = (0, *eng.prefix_nullities(a, b))[-2:]
-        index = spec_index(ToeplitzSpec(field=fld, a=a, b=b))
-        kids, nus = eng.children(eng.rows(a, b))
+        digits = [rng.below(q) for _ in range(2 * n + 1)]
+        rows = eng.rows(*_digits_to_ab(digits))
+        prev_nu, nu = (0, *eng.prefix_nullities(rows))[-2:]
+        index = reduce(lambda i, digit: i * q + digit, digits)  # lex, by Horner
+        kids, nus = eng.children(rows)
         if not trial % RANK_CHECK_STRIDE:
             _check_ranks(q, kids, nus, n, index)
         tally.census(prev_nu, nu, nus, n, index)
@@ -733,20 +735,16 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
     tally = _run(_verify_scan, _Tally.merge, q, n_max, jobs)
     _check_sizes(q, tally.sizes)
 
-    # the order-0 start: census of the first nullity over the q diagonal digits
-    eng = engine(q)
+    # the order-0 start: census of the first nullity over the q diagonal digits,
+    # failing at the first root whose nullity is more frequent than expected
+    eng, expected = engine(q), counting._start(q)
     nus = [1 - eng.rank(eng.rows((a0,), ())) for a0 in range(q)]
-    start = Check(START_RULE, checked=1, expected_offsets=counting._start(q))
     census = Counter(nus)
-    if dict(census) != start.expected_offsets:
-        # the first root whose nullity is more frequent than expected
-        a0 = next((a0 for a0, nu in enumerate(nus)
-                   if census[nu] > start.expected_offsets.get(nu, 0)), 0)
-        start.failures = 1
-        start.counterexample = Counterexample(
-            order=0, a=(a0,), b=(), index=a0,
-            detail=f"start census {dict(census)} != expected {start.expected_offsets}")
+    a0 = next((a0 for a0, nu in enumerate(nus) if census[nu] > expected.get(nu, 0)), 0)
+    tally.record(START_RULE, dict(census) == expected, 0, a0,
+                 f"start census {dict(census)} != expected {expected}")
+    tally[START_RULE].expected_offsets = expected
     rules = _rule_report(tally)
-    rules.checks[START_RULE] = start
+    rules.checks[START_RULE] = tally[START_RULE]
     names = sorted((ENDS, ASCENT, PLATEAU_RUN, DESCENT))
     return rules, Report({name: tally[name] for name in names})

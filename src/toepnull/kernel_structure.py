@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
-from .counting import _allowed_next
+from .counting import _allowed_next, _strings
 from .toeplitz import (
     ToeplitzSpec,
     Vector,
@@ -119,18 +119,7 @@ def iter_valid_strings(max_len: int) -> Iterator[Tuple[int, ...]]:
 
     Depth-first, successor values ascending, so the order is stable.
     """
-
-    def walk(prefix: Tuple[int, ...], prev: int, cur: int) -> Iterator[Tuple[int, ...]]:
-        yield prefix
-        if len(prefix) == max_len:
-            return
-        for nxt in sorted(_allowed_next(prev, cur)):
-            yield from walk(prefix + (nxt,), cur, nxt)
-
-    if max_len < 1:
-        return
-    for start in sorted(_allowed_next(0, 0)):
-        yield from walk((start,), 0, start)
+    return _strings(max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ Each keeps only its arithmetic: ``rows``, ``rank``, ``rref``, the
 scans' hot loop ``children``, and ``_extend``, its pivot loop run on
 one more row; their base ``_Engine`` builds the kernel, spans, the zero
 shift, end entries and entry tuples on ``rref``, and the prefix
-nullities on ``_extend``, once for both.  :func:`engine` picks one per
-modulus, every caller goes through it, and entry tuples appear only at
-its ``vectors`` and the public functions.  Kernels and spans are
-canonical: the unique reduced echelon basis, rows ordered by pivot with
-leading entry 1, so equal subspaces compare equal.
+nullities on ``_extend``, once for both.  Every method but ``rows``
+takes a spec's rows, built once.  :func:`engine` picks one per modulus,
+every caller goes through it, and entry tuples appear only at its
+``vectors`` and the public functions.  Kernels and spans are canonical:
+the unique reduced echelon basis, rows ordered by pivot with leading
+entry 1, so equal subspaces compare equal.
 """
 
 from __future__ import annotations
@@ -229,9 +230,9 @@ class _Engine:
         mask = (1 << self.bits) - 1
         return v & mask, v >> self.bits * (width - 1) & mask
 
-    def prefix_nullities(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        made = [0] * len(a)  # made[m]: pivots in T_m but in no smaller leading block
-        for i, c in self._rank_profile(self.rows(a, b), len(a)):
+    def prefix_nullities(self, rows: List[int]) -> Vector:
+        made = [0] * len(rows)  # made[m]: pivots in T_m but in no smaller leading block
+        for i, c in self._rank_profile(rows, len(rows)):
             made[max(i, c)] += 1
         return tuple(m + 1 - rank for m, rank in enumerate(accumulate(made)))
 
@@ -240,14 +241,15 @@ class _Engine:
         ``width`` lanes in order through the engine's own pivot loop: rows
         0..i cut to lanes 0..k have as rank the count of pivots with row
         <= i and lane <= k, as each pivot row is its row minus earlier
-        ones and is 0 in every lane before its pivot."""
+        ones and is 0 below its pivot lane, the lane of its lowest set bit."""
         piv: dict = {}
         profile = []
         for i, r in enumerate(rows):
             before = len(piv)
             self._extend(piv, r, width)
             if len(piv) > before:
-                profile.append((i, self._lane(next(reversed(piv)))))
+                row = next(reversed(piv.values()))
+                profile.append((i, ((row & -row).bit_length() - 1) // self.bits))
         return profile
 
 
@@ -297,10 +299,6 @@ class _PackedGF2(_Engine):
     def _extend(self, piv: dict, row: int, width: int) -> None:
         _gf2_pivots((row,), piv)
 
-    @staticmethod
-    def _lane(key: int) -> int:
-        return key.bit_length() - 1
-
 
 @dataclass(frozen=True)
 class _LaneGFq(_Engine):
@@ -335,10 +333,6 @@ class _LaneGFq(_Engine):
     def _extend(self, piv: dict, row: int, width: int) -> None:
         _lane_pivots((row,), self.q, piv, width)
 
-    @staticmethod
-    def _lane(key: int) -> int:
-        return key
-
 
 @lru_cache(maxsize=None)
 def engine(q: int) -> _Engine:
@@ -367,16 +361,16 @@ def engine(q: int) -> _Engine:
     of the child's own rows, with O(m) work per child; ``enumeration``
     re-checks a stride of children with ``rank``.
 
-    ``prefix_nullities(a, b)`` gives the nullity of T_0, ..., T_n, each
-    the leading block of the next, for ``nullity_string`` and for the
-    (previous, current) pair of each ``sample_census`` trial.  It feeds
-    the rows of T_n once, in order, to ``_extend`` and notes the row i
-    and lane c of each pivot made: the rank profile of the elimination
+    ``prefix_nullities(rows)`` gives the nullity of T_0, ..., T_n from
+    the rows of T_n, for ``nullity_string`` and for each ``sample_census``
+    trial, which hands the same rows to ``children``.  It feeds the rows
+    once, in order, to ``_extend`` and notes the row i of each pivot made
+    and its lane c, the pivot row's lowest nonzero one: the rank profile
     (Dumas, Pernet & Sultan, "Computing the rank profile matrix", ISSAC
-    2015).  Rows 0..m cut to lanes 0..m are T_m, so its rank is the
-    count of pivots with max(i, c) <= m.  That is one ``rows`` call and
-    about one ``rank``'s work per string, O(n^3); ``rank`` of each
-    truncated prefix is the from-scratch path the tests check it against.
+    2015).  Rows 0..m cut to lanes 0..m are T_m, the leading block of
+    T_{m+1}, so its rank is the count of pivots with max(i, c) <= m: about
+    one ``rank``'s work per string, O(n^3); ``rank`` of each truncated
+    prefix is the from-scratch path the tests check it against.
     """
     return _PackedGF2() if q == 2 else _LaneGFq(q)
 
@@ -453,4 +447,5 @@ def nullity_string(spec: ToeplitzSpec) -> Vector:
     (``prefix_nullities`` of :func:`engine`), at O(n^3) for the string.
     ``rank_nullity`` of each truncated prefix is its from-scratch check.
     """
-    return engine(spec.field.q).prefix_nullities(spec.a, spec.b)
+    eng = engine(spec.field.q)
+    return eng.prefix_nullities(eng.rows(spec.a, spec.b))

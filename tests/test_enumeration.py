@@ -617,29 +617,30 @@ def test_sample_census_validates_trials():
 
 @pytest.mark.parametrize("q", (2, 3, 13))
 def test_sampled_trials_off_the_stride_rank_nothing_from_scratch(monkeypatch, q):
-    # a trial is one bordered string and one shared elimination of its
-    # children; only a stride trial re-ranks its q^2 children from scratch
+    # a trial is one rows build, one rank-profile string and one shared
+    # elimination of its children; only a stride trial re-ranks its q^2
+    # children from scratch
     calls = Counter()
     cls = type(engine(q))
-    for name in ("rank", "children", "prefix_nullities"):
+    for name in ("rank", "children", "prefix_nullities", "rows"):
         def counted(self, *args, real=getattr(cls, name), name=name):
             calls[name] += 1
             return real(self, *args)
         monkeypatch.setattr(cls, name, counted)
     assert sample_census(9, q, trials=5, seed=3).passed
-    assert calls == {"rank": q * q, "children": 5, "prefix_nullities": 5}
+    assert calls == {"rank": q * q, "children": 5, "prefix_nullities": 5, "rows": 5}
     calls.clear()
     monkeypatch.setattr(enumeration, "RANK_CHECK_STRIDE", 2)  # trials 0, 2 and 4
     assert sample_census(9, q, trials=5, seed=3).passed
-    assert calls == {"rank": 3 * q * q, "children": 5, "prefix_nullities": 5}
+    assert calls == {"rank": 3 * q * q, "children": 5, "prefix_nullities": 5, "rows": 5}
 
 
 def test_a_sampled_pair_past_the_step_bound_fails_a_check(monkeypatch):
-    # a bordered string that jumps is a measurement fault, not bad input
+    # a nullity string that jumps is a measurement fault, not bad input
     cls = type(engine(3))
     real = cls.prefix_nullities
     monkeypatch.setattr(cls, "prefix_nullities",
-                        lambda self, a, b: real(self, a, b)[:-1] + (9,))
+                        lambda self, rows: real(self, rows)[:-1] + (9,))
     report = sample_census(4, 3, trials=3, seed=2)
     step = report.checks["step_bound"]
     assert (step.checked, step.failures, step.expected_offsets) == (3, 3, {})

@@ -580,6 +580,6 @@ def test_lanes_match_the_list_oracle(q):
         assert nus == list_children(a, b, q)
         assert [unpack(kid, len(a) + 1) for kid in kids] == [
             list_rows(a + (a_new,), b + (b_new,)) for a_new in range(q) for b_new in range(q)]
-        assert lanes.prefix_nullities(a, b) == list_prefix_nullities(a, b, q)
+        assert lanes.prefix_nullities(lanes.rows(a, b)) == list_prefix_nullities(a, b, q)
         spec = ToeplitzSpec(field=PrimeField(q), a=a, b=b)  # through engine(q)
         assert kernel_basis(spec) == list_kernel(list_rows(a, b), q, len(a))
