@@ -20,14 +20,14 @@ Subcommands:
 ``python -m toepnull.cli`` and ``python -m toepnull`` run the same command.
 
 Exit codes: 0 success, 2 a verification check failed (or an exhaustive
-scan's rank cross-check did), 3 the exhaustive budget was exceeded, 4
-invalid input (including a modulus too large to test for primality
-exactly, an ``--out`` path that cannot be written, and ``--jobs`` or
-``--budget`` out of range on any command that takes them), 5
-unsupported option combination.  Checks run in this order, and the
-first that fails sets the code: parsing and the ``--jobs``/``--budget``
-ranges (4), then an unsupported ``--format`` (5), then the command's
-own checks and work.
+scan's rank cross-check did), 3 the budget was exceeded (exhaustive
+matrices, or the entries of one sampled matrix), 4 invalid input
+(including a modulus too large to test for primality exactly, an
+``--out`` path that cannot be written, and ``--jobs`` or ``--budget``
+out of range on any command that takes them), 5 unsupported option
+combination.  Checks run in this order, and the first that fails sets
+the code: parsing and the ``--jobs``/``--budget`` ranges (4), then an
+unsupported ``--format`` (5), then the command's own checks and work.
 
 JSON output always has the shape ``{tool_version, command, params,
 results, checks}``; matrix counts are exact decimal strings of any size
@@ -268,7 +268,7 @@ def _cmd_verify(cfg: argparse.Namespace):
     params = {"n": cfg.n, "q": cfg.q, "jobs": cfg.jobs, "budget": cfg.budget,
               "seed": cfg.seed, "trials": cfg.trials if cfg.seed is not None else None}
     if cfg.seed is not None:
-        report = sample_census(cfg.n, cfg.q, cfg.trials, cfg.seed)
+        report = sample_census(cfg.n, cfg.q, cfg.trials, cfg.seed, budget=cfg.budget)
         checks = _checks_payload(report)
         results = {"mode": "sampled", "q": cfg.q, "n": cfg.n,
                    "trials": cfg.trials, "seed": cfg.seed, "passed": report.passed,

@@ -1,38 +1,34 @@
 """Exhaustive enumeration: the ground truth the counting model answers to.
 
-Everything in this module measures matrices directly.  Every rank comes
-from an elimination of the spec's own rows; no transition weight, closed
-form, or structural shortcut from the other modules is assumed, which is
-what makes these scans usable as oracles for all of them.
+Everything here measures matrices directly: every rank comes from an
+elimination of the spec's own rows, and no transition weight, closed
+form or structural shortcut from the other modules is assumed, which
+makes these scans oracles for all of them.
 
-Every scan is one loop over one walker, :func:`walk`.  It visits the
-extension tree depth first: the children of an order-m spec are its q^2
-one-step extensions, ordered by (a_new, b_new), so specs of a fixed
-order come in lexicographic order of their digit tuples
-(a_0, a_1, b_1, ..., a_n, b_n).  Rows and ranks come from
-``toeplitz.engine(q)``, whose ``children`` eliminates the rows a
-parent's q^2 children share once; each child's rank is still an exact
-elimination of its own rows.  Both exhaustive scans, the string census
-(:func:`brute_force_strings`, which counts, theta/eta and realized
-strings read off) and :func:`verify_exhaustive`, walk only the lex-least
-spec of each orbit of the group G of transpose, scaling and diagonal
-similarity, which keeps every nullity string, and count it for its whole
-orbit; verify replays the orbit members at multiples of PREDICATE_CHECK_STRIDE.
-As independent checks the walker re-ranks from scratch all children of
-every walked spec whose lex index is a multiple of RANK_CHECK_STRIDE and
-ranks each member of its orbit from scratch (the same specs at any
-worker count), and each order's orbit sizes must add up to q^(2m+1); a
-disagreement raises :class:`RankCrossCheckError`.
+:func:`walk` visits the extension tree depth first, the children of an
+order-m spec being its q^2 one-step extensions in (a_new, b_new) order,
+so each order comes in lex order of the digits (a_0, a_1, b_1, ...,
+a_n, b_n); ``toeplitz.engine(q).children`` eliminates the rows they
+share once.  The string census (:func:`brute_force_strings`) and
+:func:`verify_exhaustive` walk the lex-least spec of each orbit of the
+group G of transpose, scaling and diagonal similarity, which keeps
+nullity strings, and count it for its orbit.  At q in {2, 3}
+:func:`brute_force_table` counts on lanes instead: one bit-sliced
+elimination of all extensions of a lex-least prefix, a bit per spec.
+As independent checks, at lex indices that are multiples of
+RANK_CHECK_STRIDE the walk re-ranks all children and each orbit member
+from scratch, and a lane's whole string is recomputed from scratch (the
+same specs at any worker count); each order's orbit sizes must add up to
+q^(2m+1).  A disagreement raises :class:`RankCrossCheckError`.
 
-A budget guard keeps exhaustive work explicit: any scan whose deepest
+A budget guard keeps exhaustive work explicit: a scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
-with a ``budget`` argument) refuses up front rather than silently
-truncating.  ``jobs`` (at most MAX_JOBS) cuts a shallow level of the
-tree into index ranges that hold equal shares of its walked specs; each
-worker walks from the root into its own ranges only, and the first
-range also owns the levels above.  Every
-tally merges associatively and counterexamples are ordered by (order,
-lex index), so reports are identical for any worker count.
+with a ``budget`` argument) refuses up front.  ``jobs`` (at most
+MAX_JOBS) cuts a shallow level of the tree into index ranges holding
+equal shares of its walked specs; each worker enters its own ranges
+only, and the first range also owns the levels above.  Tallies merge
+associatively and counterexamples are ordered by (order, lex index), so
+reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -59,11 +55,12 @@ _MASK64 = (1 << 64) - 1
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive scan would enumerate more matrices than allowed."""
+    """A scan would enumerate more matrices, or hold larger ones, than allowed."""
 
-    def __init__(self, required: int, budget: int) -> None:
+    def __init__(self, required: int, budget: int,
+                 unit: str = "matrices at its deepest level") -> None:
         super().__init__(
-            f"scan needs a budget of {_decimal(required)} matrices at its deepest level, "
+            f"scan needs a budget of {_decimal(required)} {unit}, "
             f"cap is {_decimal(budget)}; raise the cap explicitly to proceed"
         )
         self.required = required
@@ -100,6 +97,15 @@ class OrbitCrossCheckError(RankCrossCheckError):
         return f"orbit cross-check failed: {self.args[2]}"
 
 
+class LaneCrossCheckError(RankCrossCheckError):
+    """A lane's nullity string disagreed with a from-scratch elimination."""
+
+    def __str__(self) -> str:
+        order, index, lane, scratch = self.args
+        return (f"lane cross-check failed: the order-{order} spec at index {index} has "
+                f"nullity string {lane} in its lane but {scratch} from scratch")
+
+
 def _recheck(q: int, m: int, index: int, rows: list, nu: int) -> None:
     """Raise unless the order-m child at ``index`` has nullity ``nu``."""
     scratch = m + 1 - engine(q).rank(rows)
@@ -115,16 +121,16 @@ def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> 
         _recheck(q, m + 1, index * q * q + k, kid, nu)
 
 
-def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
-    """Refuse an order-n scan whose deepest level exceeds ``budget``
-    matrices, DEFAULT_BUDGET when it is None."""
+def _require_budget(n: int, q: int, budget: Optional[int], *unit: str) -> None:
+    """Refuse an order-n scan of over ``budget`` (DEFAULT_BUDGET when None)
+    matrices at its deepest level, or with a ``unit`` entries in a matrix."""
     if budget is None:
         budget = DEFAULT_BUDGET
     elif budget < 1:
         raise ValueError("budget must be positive")
-    required = q ** (2 * n + 1)
+    required = (n + 1) ** 2 if unit else q ** (2 * n + 1)
     if required > budget:
-        raise BudgetExceededError(required, budget)
+        raise BudgetExceededError(required, budget, *unit)
 
 
 def _check_params(n: int, q: int, jobs: int = 1) -> PrimeField:
@@ -402,11 +408,25 @@ def brute_force_strings(n_max: int, q: int, *, budget: Optional[int] = None,
 
 def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> CountTable:
-    """Exact N(m, nu) for all m <= n_max, read off :func:`brute_force_strings`."""
-    census = brute_force_strings(n_max, q, budget=budget, jobs=jobs)
+    """Exact N(m, nu) for all m <= n_max, read off :func:`brute_force_strings`
+    at q >= 5 and off :func:`_lane_scan` at q in {2, 3}, whose order-m lanes
+    count each order-m spec once for each of its q^(2(n_max - m)) extensions."""
+    _check_params(n_max, q, jobs)
+    _require_budget(n_max, q, budget)
     counts = [[0] * (m + 2) for m in range(n_max + 1)]
-    for string, count in census.items():
-        counts[len(string) - 1][string[-1]] += count
+    if q > 3:
+        for string, count in brute_force_strings(n_max, q, budget=budget, jobs=jobs).items():
+            counts[len(string) - 1][string[-1]] += count
+    else:
+        tally = _run(_lane_scan, Counter.update, q, n_max, jobs)
+        _check_sizes(q, [tally[m] for m in range(n_max + 1) if m in tally])
+        for m, row in enumerate(counts):
+            for nu in range(m + 2):
+                row[nu], rest = divmod(tally[m, nu], q ** (2 * (n_max - m)))
+                if rest:
+                    raise OrbitCrossCheckError(m, 0, f"{tally[m, nu]} weighted lanes have "
+                                               f"nullity {nu} at order {m}, not a multiple of "
+                                               f"{q}^{2 * (n_max - m)}")
     return CountTable(q=q, counts=tuple(map(tuple, counts)))
 
 
@@ -416,6 +436,93 @@ def _check_sizes(q: int, sizes: Sequence[int]) -> None:
         if size != q ** (2 * m + 1):
             raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
                                        f"{size}, not {q}^{2 * m + 1}")
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced lanes across specs: brute_force_table at q in {2, 3}
+
+
+def _lane_gains(q: int, n: int, s: int, index: int) -> Tuple[List[int], List[int]]:
+    """Eliminate at once the q^(2(n-s)) order-n extensions of the order-s
+    spec at ``index``, bit k of every int (lane k) the k-th in lex order;
+    an entry is one int at q = 2, the pair (is 1, is 2) at q = 3.  As in
+    ``_gf2_pivots``/``_lane_pivots``, a lane whose residual is first
+    nonzero at column c reduces by its pivot row there or makes it (a GF(3)
+    2 swaps the planes).  Returns per order m the lanes with one and with
+    two pivots at max(row, column) = m."""
+    full, zero = (1 << q ** (2 * (n - s))) - 1, 0 if q == 2 else (0, 0)
+    planes = [[full * (d == v) for v in range(1, q)]
+              for d in (index // q ** k % q for k in range(2 * s, -1, -1))]
+    planes += [[((1 << q ** e) - 1 << q ** e * v) * (full // ((1 << q ** (e + 1)) - 1))
+                for v in range(1, q)] for e in range(2 * (n - s) - 1, -1, -1)]  # digit e of k
+    a, b = _digits_to_ab([x[0] if q == 2 else x for x in planes])
+    one, two, held, piv = ([0] * (n + 1) for _ in range(4))
+    for i in range(n + 1):
+        row, live = [a[j - i] if j >= i else b[i - j - 1] for j in range(n + 1)], full
+        for c in range(n + 1):
+            x = row[c]
+            nz = live & (x if q == 2 else x[0] | x[1])
+            red, new, p = nz & held[c], nz & ~held[c], piv[c] or [zero] * (n - c)
+            if red and q == 2:
+                row[c + 1:] = [y ^ z & red for y, z in zip(row[c + 1:], p)]
+            elif red:  # add -x_c times the pivot row; GF(3) addition in six operations
+                neg, pos = red & x[0], red & x[1]
+                for j, ((y1, y2), (z1, z2)) in enumerate(zip(row[c + 1:], p), c + 1):
+                    w1, w2 = z1 & pos | z2 & neg, z2 & pos | z1 & neg
+                    u = (y1 | w2) ^ (y2 | w1)
+                    row[j] = (y2 | w2) ^ u, (y1 | w1) ^ u
+            if new and q == 2:
+                piv[c] = [z | y & new for y, z in zip(row[c + 1:], p)]
+            elif new:
+                keep, swap = new & x[0], new & x[1]
+                piv[c] = [(z1 | y1 & keep | y2 & swap, z2 | y2 & keep | y1 & swap)
+                          for (y1, y2), (z1, z2) in zip(row[c + 1:], p)]
+            held[c], live, m = held[c] | new, live ^ new, max(i, c)
+            two[m] |= one[m] & new
+            one[m] ^= new
+            if not live:
+                break
+    return one, two
+
+
+def _lane_scan(args: tuple) -> Counter:
+    """Weighted lane counts by (order, nullity) and orbit sizes by order up
+    to s.  A chunk, the lex-least spec of a G-orbit at order s (cut at a
+    deeper split), counts for each member.  A least spec or a lane whose lex
+    index is a multiple of RANK_CHECK_STRIDE (the same at any ``jobs``) gets
+    :func:`_check_orbit` or has its string checked by ``prefix_nullities``."""
+    q, n, split, lo, hi = args
+    s = min(n, max(2, n - (6 if q == 2 else 4)))  # 4^6 or 9^4 lanes; orbits checked to 2
+    own, q2, eng, tally, group = split if lo else 0, q * q, engine(q), Counter(), _group(q, s)
+    level = [(0, group)]
+    for m in range(max(s, split) + 1):
+        level = [(index * q2 + x, sub) for index, stab in level
+                 for x, sub in (_least(stab, m, q) if m <= s else ((x, stab) for x in range(q2)))]
+        if m == split:
+            level = [node for node in level if lo <= node[0] < hi]
+        for index, stab in level if own <= m <= s else ():
+            tally[m] += len(group) // len(stab)
+            if not index % RANK_CHECK_STRIDE:
+                nu = m + 1 - eng.rank(eng.rows(*_index_to_ab(index, m, q)))
+                _check_orbit(q, group, m, index, nu, len(group) // len(stab))
+    width = q ** (2 * (n - max(s, split)))
+    full = (1 << width) - 1
+    for index, stab in level:
+        one, two = _lane_gains(q, n, max(s, split), index)
+        for k in range(-index * width % RANK_CHECK_STRIDE, width, RANK_CHECK_STRIDE):
+            lane = tuple(itertools.accumulate(1 - (one[m] >> k & 1) - 2 * (two[m] >> k & 1)
+                                              for m in range(n + 1)))
+            scratch = eng.prefix_nullities(eng.rows(*_index_to_ab(index * width + k, n, q)))
+            if lane != scratch:
+                raise LaneCrossCheckError(n, index * width + k, lane, scratch)
+        at, weight = [full], len(group) // len(stab)  # at[nu]: the lanes of nullity nu
+        for m in range(n + 1):
+            pad = [0, *at, 0, 0]
+            at = [pad[v] & (full ^ (one[m] | two[m])) | pad[v + 1] & one[m] | pad[v + 2] & two[m]
+                  for v in range(m + 2)]
+            for nu, mask in enumerate(at):
+                tally[m, nu] += weight * mask.bit_count()
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +686,8 @@ class XorShift64:
                 return word % bound
 
 
-def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
+def sample_census(n: int, q: int, trials: int, seed: int, *,
+                  budget: Optional[int] = None) -> Report:
     """Spot-check the weight model on random order-n specs.
 
     Draws digits (a_0, a_1, b_1, ...) from a seeded xorshift stream, so
@@ -591,10 +699,12 @@ def sample_census(n: int, q: int, trials: int, seed: int) -> Report:
     with a virtual 0 before order 0), and ``children`` of the same rows
     gives the census: two eliminations per trial.  The children of every
     RANK_CHECK_STRIDE-th trial, from trial 0 on, are re-ranked from scratch.
+    Orders of over ``budget`` (n+1)^2 matrix entries are refused up front.
     """
     _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    _require_budget(n, q, budget, "entries in each sampled matrix")
     rng = XorShift64(seed)
     eng = engine(q)
     tally = _Tally(q)

@@ -27,6 +27,7 @@ from toepnull.cli import (
 )
 
 from census_faults import skew_census
+from lane_faults import fault_lane
 
 
 def run(capsys, *argv):
@@ -672,7 +673,31 @@ def test_jobs_and_budget_are_checked_without_a_scan(capsys, argv):
         code, out, err = run(capsys, *argv, *flags)
         assert (code, out) == (EXIT_INVALID, "")
         assert flags[0] in err
-    assert run(capsys, *argv, "--jobs", "64", "--budget", "1")[0] == EXIT_OK
+    # table and spectrum scan nothing here; sampled verify caps the 3^2 = 9
+    # entries of each order-2 matrix, so a budget of 1 refuses it
+    capped = EXIT_BUDGET if "--seed" in argv else EXIT_OK
+    assert run(capsys, *argv, "--jobs", "64", "--budget", "1")[0] == capped
+    assert run(capsys, *argv, "--jobs", "64", "--budget", "9")[0] == EXIT_OK
+
+
+def test_sampled_orders_are_capped_before_any_row_is_built(capsys, monkeypatch):
+    # order 60000 needs 60001^2 entries per matrix, past the default 2^28:
+    # refused with exit 3, where it used to die in MemoryError building rows
+    def no_rows(*args):
+        raise AssertionError("no row may be built before the budget check")
+
+    monkeypatch.setattr(type(toeplitz.engine(3)), "rows", no_rows)
+    assert run(capsys, "verify", "--seed", "1", "--n", "60000", "--q", "3",
+               "--trials", "1") == (
+        EXIT_BUDGET, "", "toepnull: budget: scan needs a budget of 3600120001 entries in "
+        "each sampled matrix, cap is 268435456; raise the cap explicitly to proceed\n")
+    with pytest.raises(enumeration.BudgetExceededError) as exc:
+        enumeration.sample_census(16384, 3, 1, 1)  # 16385^2 entries; 16384^2 is the cap
+    assert (exc.value.required, exc.value.budget) == (16385 ** 2, 2 ** 28)
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.sample_census(2, 3, 1, 1, budget=8)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        enumeration.sample_census(2, 3, 1, 1, budget=0)
 
 
 def misreport_child_of_zero_spec(monkeypatch):
@@ -688,8 +713,11 @@ def misreport_child_of_zero_spec(monkeypatch):
 
 
 def cross_check_outcomes(capsys, jobs):
+    # the walk's children reach table --check-brute-force at q >= 5 only;
+    # at q in {2, 3} it counts on lanes (see the lane fault tests below)
     return [run(capsys, *argv, "--n", "3", "--q", q, "--jobs", str(jobs), "--format", "json")
-            for argv in (["table", "--check-brute-force"], ["verify"]) for q in ("2", "3")]
+            for argv, q in ((["table", "--check-brute-force"], "5"), (["verify"], "2"),
+                            (["verify"], "3"))]
 
 
 def test_rank_cross_check_failure_exits_2(capsys, monkeypatch):
@@ -706,6 +734,27 @@ def test_rank_cross_check_failure_exits_2(capsys, monkeypatch):
 def test_rank_cross_check_failure_is_independent_of_jobs(capsys, monkeypatch):
     misreport_child_of_zero_spec(monkeypatch)
     assert cross_check_outcomes(capsys, 2) == cross_check_outcomes(capsys, 1)
+
+
+@pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must inherit the injected fault"))])
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_a_faulty_lane_exits_2_on_and_off_the_stride(capsys, monkeypatch, q, jobs):
+    # lane 0 (the zero matrix) is re-ranked from scratch and raises; lane 1
+    # is not, and the order-4 row of the table disagrees with the model
+    fault_lane(monkeypatch, 0)
+    for argv in (["table", "--n", "4"], ["spectrum", "--n", "4"]):
+        assert run(capsys, *argv, "--q", q, "--check-brute-force", "--jobs", jobs) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: lane cross-check failed: the order-4 "
+            "spec at index 0 has nullity string (1, 2, 3, 4, 4) in its lane but "
+            "(1, 2, 3, 4, 5) from scratch\n")
+    monkeypatch.undo()
+    fault_lane(monkeypatch, 1)
+    code, payload = run_json(capsys, "table", "--n", "4", "--q", q, "--check-brute-force",
+                             "--jobs", jobs)
+    assert code == EXIT_MISMATCH and payload["checks"][0]["detail"].startswith(
+        "order 4: enumeration [")
 
 
 def fault_children_of(monkeypatch, index, fault):
@@ -793,13 +842,16 @@ def test_a_measured_nullity_jump_fails_verification_at_any_jobs(capsys, monkeypa
 @pytest.mark.parametrize("nullity", [6, -1])
 def test_an_impossible_nullity_fails_the_brute_force_scan(capsys, monkeypatch, jobs, nullity):
     # an order-3 nullity must lie in 0..4; past the end it used to raise
-    # IndexError, and below 0 it landed in the last slot unseen
+    # IndexError, and below 0 it landed in the last slot unseen.  The walk's
+    # string census is the scan that reads children at q = 2
     fault_children_of(monkeypatch, 5, set_first(nullity))
-    for argv in (["table", "--n", "4"], ["spectrum", "--n", "3"]):
-        assert run(capsys, *argv, "--q", "2", "--check-brute-force", "--jobs", str(jobs)) == (
-            EXIT_MISMATCH, "", "toepnull: cross-check: rank cross-check failed: child "
+    for n in (4, 3):
+        with pytest.raises(enumeration.RankCrossCheckError) as exc:
+            enumeration.brute_force_strings(n, 2, jobs=jobs)
+        assert str(exc.value) == (
+            "rank cross-check failed: child "
             f"(a_new, b_new) = (0, 0) of the order-2 spec at index 5 has nullity {nullity} "
-            "by shared elimination but 1 from scratch\n")
+            "by shared elimination but 1 from scratch")
 
 
 @pytest.mark.parametrize("q, n", [("3", "4"), ("5", "3")])

@@ -37,6 +37,7 @@ from toepnull.enumeration import MAX_JOBS, _Tally, walk
 from toepnull.toeplitz import engine, gfq_rows
 
 from census_faults import skew_census
+from lane_faults import fault_lane
 from prefix_oracle import scratch_nullity_string
 
 F2 = PrimeField(2)
@@ -142,6 +143,71 @@ def test_reduced_counts_match_the_full_walk(q, n):
     assert brute_force_table(n, q).counts == full_walk_counts(q, n)
 
 
+@pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5)])
+def test_lanes_match_the_full_walk_at_every_order(q, n_max):
+    # the identity-group walk ranks every spec one at a time: the oracle
+    # for the bit-sliced elimination, its chunk weights and its division
+    full = full_walk_counts(q, n_max)
+    for n in range(n_max + 1):
+        assert brute_force_table(n, q).counts == full[:n + 1], n
+
+
+def stride_lanes(monkeypatch):
+    """Record the order-n specs whose lanes are re-ranked from scratch."""
+    seen, real = [], enumeration._index_to_ab
+    monkeypatch.setattr(enumeration, "_index_to_ab",
+                        lambda index, m, q: seen.append((m, index)) or real(index, m, q))
+    return seen
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5)])
+def test_lanes_count_and_check_the_same_specs_at_any_jobs(monkeypatch, q, n):
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    seen = stride_lanes(monkeypatch)
+    tables, checked = [], []
+    for jobs in (1, 2, 7):
+        seen.clear()
+        tables.append(brute_force_table(n, q, jobs=jobs))
+        checked.append(sorted(index for m, index in seen if m == n))
+    assert tables[0].counts == count_table(n, q).counts
+    assert tables == tables[:1] * 3 and checked == checked[:1] * 3
+    # every 64th lex index among the specs under the lex-least chunk prefixes
+    assert checked[0] == sorted(set(checked[0])) and len(checked[0]) >= 50
+    assert all(index % enumeration.RANK_CHECK_STRIDE == 0 for index in checked[0])
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_a_faulty_lane_on_the_stride_fails_its_cross_check(monkeypatch, q):
+    # the zero matrix of order 4 is lane 0 of the first chunk: its last
+    # step claims a pivot, which the from-scratch string does not have
+    fault_lane(monkeypatch, 0)
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_table(4, q)
+    assert isinstance(exc.value, enumeration.LaneCrossCheckError)
+    assert exc.value.args[:2] == (4, 0)
+    assert str(exc.value) == ("lane cross-check failed: the order-4 spec at index 0 has "
+                              "nullity string (1, 2, 3, 4, 4) in its lane but "
+                              "(1, 2, 3, 4, 5) from scratch")
+    err = pickle.loads(pickle.dumps(exc.value))
+    assert err.args == exc.value.args and str(err) == str(exc.value)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_a_faulty_lane_off_the_stride_shows_in_the_counts(monkeypatch, q):
+    # lane 1 (b_4 = 1, all else 0) makes its one pivot at order 4: flipped
+    # there, only the order-4 row moves; flipped at order 3 the lane's
+    # string moves for order 3 alone, which q^2 extensions cannot share
+    fault_lane(monkeypatch, 1)
+    table = brute_force_table(4, q)
+    model = count_table(4, q).counts
+    assert table.counts[:4] == model[:4] and table.counts[4] != model[4]
+    assert sum(table.counts[4]) == q ** 9
+    monkeypatch.undo()
+    fault_lane(monkeypatch, 1, 3)
+    with pytest.raises(enumeration.OrbitCrossCheckError, match="not a multiple of"):
+        brute_force_table(4, q)
+
+
 def test_reduced_census_matches_the_full_walk(monkeypatch):
     # the identity-group walk yields every spec once: the oracle for the
     # parent-side orbit weights, serially and over index ranges
@@ -224,13 +290,13 @@ def test_a_stride_spec_gets_both_cross_checks(monkeypatch):
     real = enumeration._check_orbit
     monkeypatch.setattr(enumeration, "_check_orbit",
                         lambda *args: orbits.append(args[2:4]) or real(*args))
-    brute_force_table(4, 3)
+    brute_force_strings(4, 3)
     assert ranked == orbits == stride and len(stride) >= 3
     # ranges in-process: ancestors are walked again, every stride spec at least once
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
     ranked.clear()
     orbits.clear()
-    brute_force_table(4, 3, jobs=7)
+    brute_force_strings(4, 3, jobs=7)
     assert set(ranked) == set(orbits) == set(stride)
     ranked.clear()
     orbits.clear()
@@ -683,21 +749,29 @@ def test_censuses_cross_check_ranks(monkeypatch):
         sample_census(9, 3, trials=1, seed=7)  # trial 0 is always re-ranked
 
 
+def census_counts(census, n):
+    """N(m, nu) for m <= n summed off a string census by last entry."""
+    counts = [[0] * (m + 2) for m in range(n + 1)]
+    for string, count in census.items():
+        counts[len(string) - 1][string[-1]] += count
+    return tuple(map(tuple, counts))
+
+
 def test_walk_cross_checks_on_a_stride(monkeypatch):
     # off the stride, a child overstated within one step of its parent's
     # nullity 2 shows only as a count mismatch
     misreport(monkeypatch, 2, [(3, 3)])
-    assert brute_force_table(4, 2).counts != count_table(4, 2).counts
+    assert census_counts(brute_force_strings(4, 2), 4) != count_table(4, 2).counts
     monkeypatch.undo()
     # one overstated from 1 to 2 under a parent of nullity 0 is a step of two
     misreport(monkeypatch, 2, [(3, 63)])
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_table(4, 2)
+        brute_force_strings(4, 2)
     assert exc.value.args == (3, 63, 1, 1, 2, 1)
     monkeypatch.undo()
     misreport(monkeypatch, 2, [(3, 64)])
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_table(4, 2)
+        brute_force_strings(4, 2)
     assert exc.value.args[:4] == (3, 64, 1, 1)
 
 
@@ -742,13 +816,13 @@ def test_an_impossible_pair_fails_the_census_scan(monkeypatch):
     # its parent's 2, a step of two
     fault_child(monkeypatch, 2, 1, 0, 0)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_table(3, 2)
+        brute_force_strings(3, 2)
     assert exc.value.args == (2, 1, 0, 0, 0, 2)
     # child (0, 0) of the order-1 spec at index 3 claims -1; its nullity is 1
     monkeypatch.undo()
     fault_child(monkeypatch, 1, 3, 0, -1)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_table(3, 2)
+        brute_force_strings(3, 2)
     assert exc.value.args == (1, 3, 0, 0, -1, 1)
 
 
@@ -762,7 +836,7 @@ def test_a_leaf_out_of_range_fails_the_census_scan(monkeypatch):
     for k in zero:
         fault_child(monkeypatch, 2, 5, k, 5)
     with pytest.raises(RankCrossCheckError) as exc:
-        brute_force_table(3, 2)
+        brute_force_strings(3, 2)
     assert exc.value.args == (2, 5, *divmod(zero[0], 2), 5, 0)
 
 
