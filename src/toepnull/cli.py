@@ -131,7 +131,8 @@ def build_parser() -> _Parser:
                        help="cross-validate rules and kernel structure")
     p.add_argument("--n", type=int, required=True, help="largest order to scan")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help=f"worker processes, at most {MAX_JOBS}; --seed runs serially, ignoring it")
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int,
                    help="sample random specs instead of scanning exhaustively")

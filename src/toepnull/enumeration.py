@@ -13,9 +13,9 @@ share once.  The string census (:func:`brute_force_strings`) and
 :func:`verify_exhaustive` walk the lex-least spec of each orbit of the
 group G of transpose, scaling and diagonal similarity, which keeps
 nullity strings, and count it for its orbit.  At q in {2, 3}
-:func:`brute_force_table` counts on lanes instead: one bit-sliced
-elimination of all extensions of a lex-least prefix, a bit per spec.
-As independent checks, at lex indices that are multiples of
+:func:`brute_force_table` counts on lanes below the walk's order-s
+specs: one bit-sliced elimination of all their extensions, a bit per
+spec.  As independent checks, at lex indices that are multiples of
 RANK_CHECK_STRIDE the walk re-ranks all children and each orbit member
 from scratch, and a lane's whole string is recomputed from scratch (the
 same specs at any worker count); each order's orbit sizes must add up to
@@ -34,9 +34,10 @@ reports are identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from multiprocessing import Pool
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -123,12 +124,17 @@ def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> 
 
 def _require_budget(n: int, q: int, budget: Optional[int], *unit: str) -> None:
     """Refuse an order-n scan of over ``budget`` (DEFAULT_BUDGET when None)
-    matrices at its deepest level, or with a ``unit`` entries in a matrix."""
+    matrices at its deepest level, or with a ``unit`` entries in a matrix.
+    Past the budget and str(int)'s digits, 2^k <= q^(2n+1) stands in for
+    the power (k = (2n+1) t // 4096 with 2^t <= q^4096; 2n+1 at q = 2)."""
     if budget is None:
         budget = DEFAULT_BUDGET
     elif budget < 1:
         raise ValueError("budget must be positive")
-    required = (n + 1) ** 2 if unit else q ** (2 * n + 1)
+    k = (2 * n + 1) * ((q ** 4096).bit_length() - 1) // 4096
+    cap = 4 * getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 2^cap = 16^limit
+    required = ((n + 1) ** 2 if unit else
+                1 << k if 0 < cap <= k and k >= budget.bit_length() else q ** (2 * n + 1))
     if required > budget:
         raise BudgetExceededError(required, budget, *unit)
 
@@ -303,8 +309,9 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
     at most ``jobs`` workers scans them, and ``merge(total, part)`` folds
     the parts in range order.  A scan owns the specs of its range and
     their descendants; the range starting at 0 also owns every shallower
-    spec.  If ranges fail a rank cross-check, the failure first in the
-    serial walk's preorder is raised, the one a serial run would raise.
+    spec.  If ranges fail a cross-check, the failure first in preorder
+    (compared at the deepest failing order: a lane lies below n_max) is
+    raised, the one a serial run would raise.
     """
     split = _split_depth(q, n_max, jobs)
     if split is None:
@@ -324,8 +331,8 @@ def _run(scan: Callable, merge: Callable, q: int, n_max: int, jobs: int):
             except RankCrossCheckError as exc:
                 failures.append(exc)
     if failures:
-        # preorder is lex order of digit tuples, a prefix before its extensions
-        raise min(failures, key=lambda e: (e.index * q ** (2 * (n_max - e.order)), e.order))
+        top = max(e.order for e in failures)  # preorder: lex order of digits, prefix first
+        raise min(failures, key=lambda e: (e.index * q ** (2 * (top - e.order)), e.order))
     total = parts[0]
     for part in parts[1:]:
         merge(total, part)
@@ -409,8 +416,8 @@ def brute_force_strings(n_max: int, q: int, *, budget: Optional[int] = None,
 def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
                       jobs: int = 1) -> CountTable:
     """Exact N(m, nu) for all m <= n_max, read off :func:`brute_force_strings`
-    at q >= 5 and off :func:`_lane_scan` at q in {2, 3}, whose order-m lanes
-    count each order-m spec once for each of its q^(2(n_max - m)) extensions."""
+    at q >= 5, and at q in {2, 3} off :func:`_lane_scan` below the walk to a
+    chunk order s, whose order-m lanes count each order-m spec q^(2(n_max - m)) times."""
     _check_params(n_max, q, jobs)
     _require_budget(n_max, q, budget)
     counts = [[0] * (m + 2) for m in range(n_max + 1)]
@@ -418,7 +425,8 @@ def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
         for string, count in brute_force_strings(n_max, q, budget=budget, jobs=jobs).items():
             counts[len(string) - 1][string[-1]] += count
     else:
-        tally = _run(_lane_scan, Counter.update, q, n_max, jobs)
+        s = min(n_max, max(2, n_max - (6 if q == 2 else 4)))  # 4^6, 9^4 lanes; orbits checked to 2
+        tally = _run(partial(_lane_scan, n_max), Counter.update, q, s, jobs)
         _check_sizes(q, [tally[m] for m in range(n_max + 1) if m in tally])
         for m, row in enumerate(counts):
             for nu in range(m + 2):
@@ -485,37 +493,31 @@ def _lane_gains(q: int, n: int, s: int, index: int) -> Tuple[List[int], List[int
     return one, two
 
 
-def _lane_scan(args: tuple) -> Counter:
+def _lane_scan(n: int, args: tuple) -> Counter:
     """Weighted lane counts by (order, nullity) and orbit sizes by order up
-    to s.  A chunk, the lex-least spec of a G-orbit at order s (cut at a
-    deeper split), counts for each member.  A least spec or a lane whose lex
-    index is a multiple of RANK_CHECK_STRIDE (the same at any ``jobs``) gets
+    to s, the depth of ``walk(*args)``, each of whose order-s specs is a chunk
+    counted for each member of its orbit.  A chunk or a lane whose lex index
+    is a multiple of RANK_CHECK_STRIDE (the walk checks those above) gets
     :func:`_check_orbit` or has its string checked by ``prefix_nullities``."""
-    q, n, split, lo, hi = args
-    s = min(n, max(2, n - (6 if q == 2 else 4)))  # 4^6 or 9^4 lanes; orbits checked to 2
-    own, q2, eng, tally, group = split if lo else 0, q * q, engine(q), Counter(), _group(q, s)
-    level = [(0, group)]
-    for m in range(max(s, split) + 1):
-        level = [(index * q2 + x, sub) for index, stab in level
-                 for x, sub in (_least(stab, m, q) if m <= s else ((x, stab) for x in range(q2)))]
-        if m == split:
-            level = [node for node in level if lo <= node[0] < hi]
-        for index, stab in level if own <= m <= s else ():
-            tally[m] += len(group) // len(stab)
-            if not index % RANK_CHECK_STRIDE:
-                nu = m + 1 - eng.rank(eng.rows(*_index_to_ab(index, m, q)))
-                _check_orbit(q, group, m, index, nu, len(group) // len(stab))
-    width = q ** (2 * (n - max(s, split)))
+    q, s, split, lo, hi = args
+    own, eng, tally, group = split if lo else 0, engine(q), Counter(), _group(q, s)
+    width = q ** (2 * (n - s))
     full = (1 << width) - 1
-    for index, stab in level:
-        one, two = _lane_gains(q, n, max(s, split), index)
+    for m, index, _, string, _, weight in walk(*args, group):
+        if m >= own:
+            tally[m] += weight
+        if m < s:
+            continue
+        if not index % RANK_CHECK_STRIDE:
+            _check_orbit(q, group, m, index, string[-1], weight)
+        one, two = _lane_gains(q, n, s, index)
         for k in range(-index * width % RANK_CHECK_STRIDE, width, RANK_CHECK_STRIDE):
             lane = tuple(itertools.accumulate(1 - (one[m] >> k & 1) - 2 * (two[m] >> k & 1)
                                               for m in range(n + 1)))
             scratch = eng.prefix_nullities(eng.rows(*_index_to_ab(index * width + k, n, q)))
             if lane != scratch:
                 raise LaneCrossCheckError(n, index * width + k, lane, scratch)
-        at, weight = [full], len(group) // len(stab)  # at[nu]: the lanes of nullity nu
+        at = [full]  # at[nu]: the lanes of nullity nu
         for m in range(n + 1):
             pad = [0, *at, 0, 0]
             at = [pad[v] & (full ^ (one[m] | two[m])) | pad[v + 1] & one[m] | pad[v + 2] & two[m]

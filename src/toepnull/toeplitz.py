@@ -18,14 +18,11 @@ building an echelon form row by row in a dict keyed by pivot column:
   every entry of a row at once, and
 * a GF(2) fast path on 1-bit lanes, eliminating with word-wide xors.
 
-Each keeps only its arithmetic: ``rows``, ``rank``, ``rref``, the
-scans' hot loop ``children``, and ``_extend``, its pivot loop run on
-one more row; their base ``_Engine`` builds the kernel, spans, the zero
-shift, end entries and entry tuples on ``rref``, and the prefix
-nullities on ``_extend``, once for both.  Every method but ``rows``
-takes a spec's rows, built once.  :func:`engine` picks one per modulus,
-every caller goes through it, and entry tuples appear only at its
-``vectors`` and the public functions.  Kernels and spans are canonical:
+Each keeps only its arithmetic, their base ``_Engine`` the rest, once
+for both: :func:`engine` lists them, picks one per modulus, and every
+caller goes through it.  Every method but ``rows`` takes a spec's rows,
+built once, and entry tuples appear only at ``vectors`` and the public
+functions.  Kernels and spans are canonical:
 the unique reduced echelon basis, rows ordered by pivot with leading
 entry 1, so equal subspaces compare equal.
 """
@@ -107,11 +104,6 @@ def _lane_tables(q: int) -> Tuple[bytes, ...]:
             *(bytes(x * pow(f, -1, q) % q for x in range(256)) for f in range(1, q)))
 
 
-def _lanewise(table: bytes, u: int, v: int, q: int, w: int) -> int:
-    """``table[u_j q + v_j]`` in every lane j < w."""
-    return int.from_bytes((u * q + v).to_bytes(w, "little").translate(table), "little")
-
-
 def gfq_rows(a: Sequence[int], b: Sequence[int]) -> List[bytes]:
     """Rows of the spec'd matrix as bytes, entry j = byte j: digit rows
     for ``gfq_rank``, and the lanes of the engine's rows."""
@@ -127,11 +119,11 @@ def gfq_rank(rows: Iterable[Union[int, Sequence[int]]], q: int) -> int:
                              for r in rows], q))
 
 
-def _lane_pivots(rows: Sequence[int], q: int, piv: Optional[dict] = None, w: int = 0) -> dict:
+def _lane_pivots(rows: Iterable[int], q: int, piv: Optional[dict] = None, w: int = 0) -> dict:
     """Echelon form of lane rows modulo q, keyed by each row's lowest
     nonzero lane, which no other row shares; the row has entry 1 there.
     Given ``piv``, the rows extend it, and ``w`` bytes must hold every
-    row of both (the default fits the widest of ``rows``)."""
+    row of both (the default fits the widest of ``rows``, a sequence)."""
     sub, w = _lane_tables(q), w or max(rows, default=0).bit_length() + 7 >> 3
     piv = {} if piv is None else piv
     for r in rows:
@@ -172,7 +164,8 @@ def _directions(r0: int, r1: int, q: int, w: int) -> List[int]:
     entry 1, or 0 when it is 0; two vectors are dependent exactly when
     either is 0 or both are equal."""
     sub = _lane_tables(q)
-    pair = (r0 * q + _lanewise(sub[1], r1, r0, q, w)).to_bytes(w, "little")
+    step = int.from_bytes((r1 * q + r0).to_bytes(w, "little").translate(sub[1]), "little")
+    pair = (r0 * q + step).to_bytes(w, "little")  # step: r1 - r0 in every lane
     out = []
     for v in (pair.translate(sub[-d % q]) for d in range(q)):
         lead = v.lstrip(b"\0")[:1]
@@ -238,19 +231,22 @@ class _Engine:
 
     def _rank_profile(self, rows: Sequence[int], width: int) -> List[Tuple[int, int]]:
         """(row, lane) of each pivot made by eliminating ``rows`` of
-        ``width`` lanes in order through the engine's own pivot loop: rows
-        0..i cut to lanes 0..k have as rank the count of pivots with row
-        <= i and lane <= k, as each pivot row is its row minus earlier
-        ones and is 0 below its pivot lane, the lane of its lowest set bit."""
-        piv: dict = {}
-        profile = []
-        for i, r in enumerate(rows):
-            before = len(piv)
-            self._extend(piv, r, width)
-            if len(piv) > before:
-                row = next(reversed(piv.values()))
-                profile.append((i, ((row & -row).bit_length() - 1) // self.bits))
-        return profile
+        ``width`` lanes in order in one call of the engine's own pivot
+        loop: rows 0..i cut to lanes 0..k have as rank the count of pivots
+        with row <= i and lane <= k, as each pivot row is its row minus
+        earlier ones and is 0 below its pivot lane, the lane of its lowest
+        set bit.  The loop asks for row i + 1 only once done with row i."""
+        piv, made = {}, []  # the pivots, and the row that made each
+
+        def fed():
+            for i, r in enumerate(rows):
+                yield r
+                if len(piv) > len(made):
+                    made.append(i)
+
+        self._pivots(fed(), piv, width)
+        return [(i, ((row & -row).bit_length() - 1) // self.bits)
+                for i, row in zip(made, piv.values())]
 
 
 class _PackedGF2(_Engine):
@@ -296,8 +292,8 @@ class _PackedGF2(_Engine):
         return kids, [free - (h > 0) - (l > 0) + (h == l > 0)
                       for h in (h0, h1) for l in (l0, l1)]
 
-    def _extend(self, piv: dict, row: int, width: int) -> None:
-        _gf2_pivots((row,), piv)
+    def _pivots(self, rows: Iterable[int], piv: dict, width: int) -> None:
+        _gf2_pivots(rows, piv)
 
 
 @dataclass(frozen=True)
@@ -330,8 +326,8 @@ class _LaneGFq(_Engine):
         # rank of a child = rank of the tail + rank of its two residuals
         return kids, [m + 2 - len(piv) - (h > 0) - (l > 0) + (h == l > 0) for h in hs for l in ls]
 
-    def _extend(self, piv: dict, row: int, width: int) -> None:
-        _lane_pivots((row,), self.q, piv, width)
+    def _pivots(self, rows: Iterable[int], piv: dict, width: int) -> None:
+        _lane_pivots(rows, self.q, piv, width)
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +340,10 @@ def engine(q: int) -> _Engine:
     lanes: ``kernel`` (canonical, of a square matrix), ``span``,
     ``vectors`` (entry tuples), ``sigma`` (a zero prepended to every
     kernel vector; an appended one changes no packed int) and ``ends``
-    (the first and last entry), and on ``_extend`` (the engine's pivot
-    loop, extending an echelon by a row) ``prefix_nullities``.  Each
+    (the first and last entry), and on ``_pivots`` (the engine's pivot
+    loop, extending an echelon by rows) ``prefix_nullities``.  Each
     engine keeps its arithmetic: ``rows``, ``rank`` (from scratch; it
-    only reads its rows), ``rref``, ``_extend`` and the scans' hot loop
+    only reads its rows), ``rref``, ``_pivots`` and the scans' hot loop
     ``children``, which inlines its xor or translate: shared
     per-operation hooks would add a call to every row operation there,
     and they saved no lines.
@@ -364,13 +360,14 @@ def engine(q: int) -> _Engine:
     ``prefix_nullities(rows)`` gives the nullity of T_0, ..., T_n from
     the rows of T_n, for ``nullity_string`` and for each ``sample_census``
     trial, which hands the same rows to ``children``.  It feeds the rows
-    once, in order, to ``_extend`` and notes the row i of each pivot made
-    and its lane c, the pivot row's lowest nonzero one: the rank profile
-    (Dumas, Pernet & Sultan, "Computing the rank profile matrix", ISSAC
-    2015).  Rows 0..m cut to lanes 0..m are T_m, the leading block of
-    T_{m+1}, so its rank is the count of pivots with max(i, c) <= m: about
-    one ``rank``'s work per string, O(n^3); ``rank`` of each truncated
-    prefix is the from-scratch path the tests check it against.
+    once, in order, to one ``_pivots`` call and notes the row i of each
+    pivot made and its lane c, the pivot row's lowest nonzero one: the
+    rank profile (Dumas, Pernet & Sultan, "Computing the rank profile
+    matrix", ISSAC 2015).  Rows 0..m cut to lanes 0..m are T_m, the
+    leading block of T_{m+1}, so its rank is the count of pivots with
+    max(i, c) <= m: about one ``rank``'s work per string, O(n^3); ``rank``
+    of each truncated prefix is the from-scratch path the tests check it
+    against.
     """
     return _PackedGF2() if q == 2 else _LaneGFq(q)
 

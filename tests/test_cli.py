@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -545,6 +546,17 @@ def test_huge_orders_exit_on_the_budget_at_once(capsys, monkeypatch):
                              "--check-brute-force")
         assert (code, out) == (EXIT_BUDGET, "")
         assert "at least 2^16001" in err
+    # at q >= 3 the power itself takes seconds to compute; 2^k is a true
+    # lower bound on it, a fraction of a percent short in the exponent
+    for argv, q, n in ((["verify"], 3, 20_000_000),
+                       (["table", "--check-brute-force"], 13, 5_000_000)):
+        code, out, err = run(capsys, *argv, "--n", str(n), "--q", str(q))
+        assert (code, out) == (EXIT_BUDGET, "")
+        k = int(err.split("at least 2^")[1].split()[0])
+        assert 0.999 * (2 * n + 1) * math.log2(q) < k <= (2 * n + 1) * math.log2(q)
+        assert err == (f"toepnull: budget: scan needs a budget of at least 2^{k} matrices "
+                       "at its deepest level, cap is 268435456; raise the cap explicitly "
+                       "to proceed\n")
     assert time.perf_counter() - start < 20
 
 

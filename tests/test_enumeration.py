@@ -490,19 +490,23 @@ def test_reduced_verify_fails_like_the_full_walk(monkeypatch):
 def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
     _InlinePool.sizes.clear()
-    serial = brute_force_table(3, 2)
+    serial = brute_force_strings(3, 2)
     # the split level of q=2, n=3 holds 2^5 specs, 20 of them least in
     # their orbits, so at most 20 ranges, none of them empty
-    assert brute_force_table(3, 2, jobs=MAX_JOBS).counts == serial.counts
+    assert brute_force_strings(3, 2, jobs=MAX_JOBS) == serial
     assert _InlinePool.sizes == [20]
+    # the lane table walks to its chunk order 2 and splits above it, at
+    # order 1: 2^3 specs, 6 of them least in their orbits
+    assert brute_force_table(3, 2, jobs=MAX_JOBS).counts == brute_force_table(3, 2).counts
+    assert _InlinePool.sizes == [20, 6]
     assert verify_exhaustive(3, 2, jobs=3)[0].passed
-    assert _InlinePool.sizes == [20, 3]
+    assert _InlinePool.sizes == [20, 6, 3]
     for bad in (0, MAX_JOBS + 1, 100000, True, 2.0):
         with pytest.raises(ValueError):
             brute_force_table(3, 2, jobs=bad)
         with pytest.raises(ValueError):
             verify_exhaustive(3, 2, jobs=bad)
-    assert _InlinePool.sizes == [20, 3]
+    assert _InlinePool.sizes == [20, 6, 3]
 
 
 def test_exhaustive_verify_starts_one_pool(monkeypatch, capsys):
@@ -794,6 +798,27 @@ def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
     with pytest.raises(RankCrossCheckError) as exc:
         enumeration._verify_scan((2, 5, 4, 0, 1))  # any range at 0
     assert exc.value.args[:4] == (3, 64, 1, 1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected faults")
+def test_lane_table_failure_is_independent_of_jobs(monkeypatch):
+    # orbit faults at the order-2 stride spec 128, digits (1, 1, 2, 0, 2),
+    # and at the order-3 chunk 0, the zero matrix.  Preorder meets (3, 0)
+    # first; at jobs=2 the walk to the chunk order 3 splits at order 2,
+    # so the two fail in different ranges
+    real = enumeration._check_orbit
+
+    def check_orbit(q, group, m, index, nu, weight):
+        real(q, group, m, index, nu, weight + ((m, index) in {(2, 128), (3, 0)}))
+
+    monkeypatch.setattr(enumeration, "_check_orbit", check_orbit)
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(enumeration.OrbitCrossCheckError) as exc:
+            brute_force_table(7, 3, jobs=jobs)
+        errors.append((exc.value.args, str(exc.value)))
+    assert errors[0] == errors[1] and errors[0][0][:2] == (3, 0)
 
 
 def fault_child(monkeypatch, m, index, k, value):
