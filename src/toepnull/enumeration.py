@@ -17,9 +17,10 @@ nullity strings, and count it for its orbit.  At q in {2, 3}
 specs: one bit-sliced elimination of all their extensions, a bit per
 spec.  As independent checks, at lex indices that are multiples of
 RANK_CHECK_STRIDE the walk re-ranks all children and each orbit member
-from scratch, and a lane's whole string is recomputed from scratch (the
-same specs at any worker count); each order's orbit sizes must add up to
-q^(2m+1).  A disagreement raises :class:`RankCrossCheckError`.
+from scratch, a lane's whole string is recomputed from scratch and
+:func:`verify_exhaustive` multiplies each kernel vector by the spec's
+rows (the same specs at any worker count); each order's orbit sizes must
+add up to q^(2m+1).  A disagreement raises :class:`RankCrossCheckError`.
 
 A budget guard keeps exhaustive work explicit: a scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
@@ -107,6 +108,15 @@ class LaneCrossCheckError(RankCrossCheckError):
                 f"nullity string {lane} in its lane but {scratch} from scratch")
 
 
+class KernelCrossCheckError(RankCrossCheckError):
+    """A kernel vector that a row of its own spec does not annihilate."""
+
+    def __str__(self) -> str:
+        order, index, vector, row = self.args
+        return (f"kernel cross-check failed: kernel vector {vector} of the order-{order} "
+                f"spec at index {index} is not annihilated by its row {row}")
+
+
 def _recheck(q: int, m: int, index: int, rows: list, nu: int) -> None:
     """Raise unless the order-m child at ``index`` has nullity ``nu``."""
     scratch = m + 1 - engine(q).rank(rows)
@@ -120,6 +130,16 @@ def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> 
     (``gf2_rank``/``gfq_rank``) against the nullities ``children`` gave."""
     for k, (kid, nu) in enumerate(zip(kids, nus)):
         _recheck(q, m + 1, index * q * q + k, kid, nu)
+
+
+def _check_kernel(q: int, m: int, index: int, rows: list, kern: Tuple[int, ...]) -> None:
+    """Raise unless every row of the order-m spec at ``index`` annihilates
+    every vector of its kernel: a dot product each, no elimination."""
+    eng = engine(q)
+    for v in kern:
+        for i, row in enumerate(rows):
+            if eng.dot(row, v, m + 1):
+                raise KernelCrossCheckError(m, index, eng.vectors((v,), m + 1)[0], i)
 
 
 def _require_budget(n: int, q: int, budget: Optional[int], *unit: str) -> None:
@@ -242,9 +262,10 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
     and its last pair p has p <= g(p) for each g in the parent's
     stabiliser; the g with g(p) = p make the child's.  A spec with
     children whose index is a multiple of RANK_CHECK_STRIDE has them
-    re-ranked and its orbit checked (:func:`_check_orbit`) first."""
+    re-ranked and its orbit checked (:func:`_check_orbit`) first, if the
+    walk owns its order (``_run``): the same checks at any worker count."""
     eng = engine(q)
-    children, q2 = eng.children, q * q
+    children, q2, own = eng.children, q * q, split if lo else 0
     group = group or [(range(q), [range(q2)] * (q - 1))]  # the identity alone
 
     def inside(node: tuple) -> bool:
@@ -264,7 +285,7 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
             yield m, index, rows, string, (), weight
             continue
         kids, nus = children(rows)
-        if not index % RANK_CHECK_STRIDE:
+        if not index % RANK_CHECK_STRIDE and m >= own:
             _check_ranks(q, kids, nus, m, index)
             if len(group) > 1:
                 _check_orbit(q, group, m, index, string[-1], weight)
@@ -765,7 +786,10 @@ def _verify_scan(args: tuple) -> _Tally:
     parent of order 0) of each order are kept in per-order lists; a run
     is (start order, all omega so far, all sigma so far), or None
     outside runs.  A kernel whose dimension is not the nullity the walk
-    gave raises :class:`RankCrossCheckError`.
+    gave raises :class:`RankCrossCheckError`; at lex indices that are
+    multiples of RANK_CHECK_STRIDE each kernel vector must be annihilated
+    by the spec's rows (:func:`_check_kernel`).  With the dimension that
+    pins the canonical kernel.
     """
     q, n_max, split, lo, hi = args
     own = split if lo else 0
@@ -796,6 +820,8 @@ def _verify_scan(args: tuple) -> _Tally:
             if child_nus:
                 tally.census(string[-2] if m else 0, nu, child_nus, m, index, weight)
         kern = kernels[m] = kernel(rows) if nu else ()
+        if kern and not index % RANK_CHECK_STRIDE and m >= own:
+            _check_kernel(q, m, index, rows, kern)
         runs[m] = None
         if m == 0:
             continue

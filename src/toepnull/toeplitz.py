@@ -24,7 +24,9 @@ caller goes through it.  Every method but ``rows`` takes a spec's rows,
 built once, and entry tuples appear only at ``vectors`` and the public
 functions.  Kernels and spans are canonical:
 the unique reduced echelon basis, rows ordered by pivot with leading
-entry 1, so equal subspaces compare equal.
+entry 1, so equal subspaces compare equal.  A kernel is read straight
+off one elimination whose pivots are the rows' highest nonzero lanes,
+canonical as it comes: no second elimination normalizes it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,21 @@ def _gf2_pivots(rows: Iterable[int], piv: Optional[dict] = None) -> dict:
             p = piv.get(low)
             if p is None:
                 piv[low] = r
+                break
+            r ^= p
+    return piv
+
+
+def _gf2_top_pivots(rows: Sequence[int]) -> List[int]:
+    """Echelon form of the packed rows of a square matrix: entry c is the
+    row whose highest set bit is bit c, or 0 if there is none."""
+    piv = [0] * len(rows)
+    for r in rows:
+        while r:
+            c = r.bit_length() - 1
+            p = piv[c]
+            if not p:
+                piv[c] = r
                 break
             r ^= p
     return piv
@@ -137,6 +154,24 @@ def _lane_pivots(rows: Iterable[int], q: int, piv: Optional[dict] = None, w: int
     return piv
 
 
+def _lane_top_pivots(rows: Sequence[int], q: int) -> List[int]:
+    """Echelon form of the lane rows of a square matrix modulo q: entry c
+    is the row whose highest nonzero lane is lane c, with entry 1 there,
+    or 0 if there is none."""
+    sub, w = _lane_tables(q), len(rows)
+    piv = [0] * w
+    for r in rows:
+        while r:
+            c = r.bit_length() - 1 >> 3
+            f = r >> 8 * c & 255
+            p = piv[c]
+            if not p:
+                piv[c] = int.from_bytes(r.to_bytes(w, "little").translate(sub[q + f]), "little")
+                break
+            r = int.from_bytes((r * q + p).to_bytes(w, "little").translate(sub[f]), "little")
+    return piv
+
+
 def _lane_residual(v: int, echelon: Iterable[Tuple[int, int]], q: int, w: int) -> int:
     """``v`` reduced by (pivot lane, row) pairs in increasing pivot order,
     each row with entry 1 at its pivot lane and 0 below it: 0 in every
@@ -188,25 +223,30 @@ def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector,
 
 class _Engine:
     """What both engines share: the methods that only read or move the
-    lanes of packed vectors, built on the engine's own ``rref``."""
+    lanes of packed vectors, built on the engine's own ``rref``, ``dot``
+    and pivot loops."""
 
     q: int
     bits: int
 
     def kernel(self, rows: List[int]) -> Tuple[int, ...]:
-        """Canonical kernel basis of a square matrix."""
-        reduced, pivots = self.rref(rows)
-        bits, mask, basis = self.bits, (1 << self.bits) - 1, []
-        for free in sorted(set(range(len(rows))) - set(pivots)):
-            # minus the free-column solution: -1 at the free column, each
-            # pivot row's entry there at its pivot (rref rescales it below)
-            shift = bits * free
-            v = (self.q - 1) << shift
-            for row, p in zip(reduced, pivots):
-                v |= (row >> shift & mask) << bits * p
-            basis.append(v)
-        # the free-column basis is not echelon in general; normalize it
-        return self.span(basis)
+        """Canonical kernel basis of a square matrix, read off one
+        elimination whose pivots are each row's highest nonzero lane.
+        Free lane f gives the kernel vector with 1 at f and 0 at the
+        other free lanes, its entry at each pivot lane c > f solved from
+        row c, which is 1 at c and 0 above it; the lanes below f stay 0.
+        So f is its lowest nonzero lane and, in order of f, these are the
+        reduced echelon basis."""
+        piv, width, bits, q, dot = self._top_pivots(rows), len(rows), self.bits, self.q, self.dot
+        echelon, basis = [(c, row) for c, row in enumerate(piv) if row], []
+        for f in range(width):
+            if not piv[f]:
+                v = 1 << bits * f
+                for c, row in echelon:
+                    if c > f and (d := dot(row, v, width)):
+                        v |= q - d << bits * c
+                basis.append(v)
+        return tuple(basis)
 
     def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
         return tuple(self.rref(list(vectors))[0])
@@ -263,6 +303,12 @@ class _PackedGF2(_Engine):
     def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
         return gf2_rref(rows)
 
+    def dot(self, u: int, v: int, width: int) -> int:
+        return (u & v).bit_count() & 1
+
+    def _top_pivots(self, rows: List[int]) -> List[int]:
+        return _gf2_top_pivots(rows)
+
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m = len(rows) - 1
         # child row i + 1 is parent row i one column right, behind the b
@@ -312,6 +358,13 @@ class _LaneGFq(_Engine):
     def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
         return gfq_rref(rows, self.q)
 
+    def dot(self, u: int, v: int, width: int) -> int:
+        return sum((u * self.q + v).to_bytes(width, "little").translate(
+            _lane_tables(self.q)[self.q])) % self.q
+
+    def _top_pivots(self, rows: List[int]) -> List[int]:
+        return _lane_top_pivots(rows, self.q)
+
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m, q, w = len(rows) - 1, self.q, len(rows) + 1
         tail = [rows[i] << 8 | rows[i + 1] & 255 for i in range(m)]  # as in _PackedGF2
@@ -337,13 +390,17 @@ def engine(q: int) -> _Engine:
     the representation is chosen.
 
     The base ``_Engine`` builds on ``rref`` what only reads or moves
-    lanes: ``kernel`` (canonical, of a square matrix), ``span``,
-    ``vectors`` (entry tuples), ``sigma`` (a zero prepended to every
-    kernel vector; an appended one changes no packed int) and ``ends``
-    (the first and last entry), and on ``_pivots`` (the engine's pivot
-    loop, extending an echelon by rows) ``prefix_nullities``.  Each
-    engine keeps its arithmetic: ``rows``, ``rank`` (from scratch; it
-    only reads its rows), ``rref``, ``_pivots`` and the scans' hot loop
+    lanes: ``span``, ``vectors`` (entry tuples), ``sigma`` (a zero
+    prepended to every kernel vector; an appended one changes no packed
+    int) and ``ends`` (the first and last entry); on ``_pivots`` (the
+    engine's pivot loop, extending an echelon by rows)
+    ``prefix_nullities``; and on ``_top_pivots`` (one elimination keyed
+    by each row's highest nonzero lane) and ``dot`` the canonical
+    ``kernel`` of a square matrix, read straight off that elimination
+    with no ``rref``.  Each engine keeps its arithmetic: ``rows``,
+    ``rank`` (from scratch; it only reads its rows), ``rref``, ``dot``
+    (of two rows: the parity of their common bits, or the lanewise
+    product table), ``_pivots``, ``_top_pivots`` and the scans' hot loop
     ``children``, which inlines its xor or translate: shared
     per-operation hooks would add a call to every row operation there,
     and they saved no lines.

@@ -848,6 +848,27 @@ def test_a_measured_nullity_jump_fails_verification_at_any_jobs(capsys, monkeypa
                "--format", "json") == (EXIT_MISMATCH, out.replace('"jobs": 1,', '"jobs": 2,'), "")
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the injected fault")
+def test_a_wrong_kernel_vector_fails_verification_at_any_jobs(capsys, monkeypatch):
+    # the order-4 spec at index 192, a stride index, has kernel (1, 0, 1, 0, 1);
+    # the fault flips its entry 1.  At jobs=2 the walk splits at order 3
+    # and the spec lies in the range [24, 49), one that does not start at 0
+    target = toeplitz.engine(2).rows(*enumeration._index_to_ab(192, 4, 2))
+    real = toeplitz._PackedGF2.kernel
+
+    def kernel(self, rows):
+        kern = real(self, rows)
+        return (kern[0] ^ 2, *kern[1:]) if rows == target else kern
+
+    monkeypatch.setattr(toeplitz._PackedGF2, "kernel", kernel)
+    for jobs in ("1", "2"):
+        assert run(capsys, "verify", "--n", "4", "--q", "2", "--jobs", jobs) == (
+            EXIT_MISMATCH, "", "toepnull: cross-check: kernel cross-check failed: kernel "
+            "vector (1, 1, 1, 0, 1) of the order-4 spec at index 192 is not annihilated by "
+            "its row 0\n")
+
+
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers must inherit the injected fault"))])

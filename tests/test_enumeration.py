@@ -487,6 +487,26 @@ def test_reduced_verify_fails_like_the_full_walk(monkeypatch):
     assert reduced == [full, full]
 
 
+@pytest.mark.parametrize("scan, n, q", [(brute_force_strings, 7, 2), (brute_force_table, 7, 3)])
+def test_stride_checks_are_independent_of_jobs(monkeypatch, scan, n, q):
+    # a range that does not start at 0 re-walks the ancestors above its
+    # split level; their stride checks belong to the range at 0 alone
+    monkeypatch.setattr(enumeration, "Pool", _InlinePool)
+    calls = Counter()
+    for name in ("_check_orbit", "_check_ranks"):
+        def counted(*args, real=getattr(enumeration, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(enumeration, name, counted)
+    counts = []
+    for jobs in (1, 8, 64):
+        calls.clear()
+        scan(n, q, jobs=jobs)
+        counts.append(dict(calls))
+    assert counts[0]["_check_orbit"] and counts[0]["_check_ranks"]
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_pool_is_sized_by_ranges_and_jobs_are_capped(monkeypatch):
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
     _InlinePool.sizes.clear()

@@ -585,3 +585,52 @@ def test_lanes_match_the_list_oracle(q):
         assert lanes.prefix_nullities(lanes.rows(a, b)) == list_prefix_nullities(a, b, q)
         spec = ToeplitzSpec(field=PrimeField(q), a=a, b=b)  # through engine(q)
         assert kernel_basis(spec) == list_kernel(list_rows(a, b), q, len(a))
+
+
+def edge_matrices(q):
+    """Digit rows of square matrices at the edges of the kernel read-off:
+    no rows, order 0, zero, invertible, rank 1, and pivots in only the
+    last or only the first column."""
+    top = q - 1
+    yield []
+    yield [[0]]
+    yield [[top]]
+    for n in (2, 5):
+        yield [[0] * n for _ in range(n)]
+        yield [[int(i == j) for j in range(n)] for i in range(n)]
+        yield [[top if j >= i else 0 for j in range(n)] for i in range(n)]  # triangular
+        yield [[(i + 1) * (j + 1) % q for j in range(n)] for i in range(n)]  # rank 1
+        yield [[0] * (n - 1) + [i % q] for i in range(n)]
+        yield [[top] + [0] * (n - 1) for _ in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_edge_kernels_match_the_list_oracle(q):
+    for rows in edge_matrices(q):
+        width = len(rows)
+        expected = list_kernel(rows, q, width)
+        assert len(expected) == width - list_rank(rows, q)
+        for eng in {engine(q), toeplitz._LaneGFq(q)}:
+            packed = [sum(x << eng.bits * j for j, x in enumerate(row)) for row in rows]
+            assert eng.vectors(eng.kernel(packed), width) == expected
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_kernels_need_no_second_elimination(monkeypatch, q):
+    # the kernel is read off one highest-lane elimination, canonical as
+    # it stands: no rref, of the rows or of the solutions
+    rng = random.Random(9000 + q)
+    specs = [(zero_prefix_digits if rng.random() < 0.5 else random_digits)(
+        rng, q, rng.randrange(2, 16)) for _ in range(40)]
+    eng = engine(q)
+
+    def refuse(*args):
+        raise AssertionError("rref in kernel")
+
+    for name in ("gf2_rref", "gfq_rref"):
+        monkeypatch.setattr(toeplitz, name, refuse)
+    monkeypatch.setattr(type(eng), "rref", refuse)
+    kernels = [eng.vectors(eng.kernel(eng.rows(a, b)), len(a)) for a, b in specs]
+    monkeypatch.undo()
+    assert sum(map(bool, kernels)) >= 10
+    assert kernels == [list_kernel(list_rows(a, b), q, len(a)) for a, b in specs]
