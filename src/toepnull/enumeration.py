@@ -142,21 +142,24 @@ def _check_kernel(q: int, m: int, index: int, rows: list, kern: Tuple[int, ...])
                 raise KernelCrossCheckError(m, index, eng.vectors((v,), m + 1)[0], i)
 
 
-def _require_budget(n: int, q: int, budget: Optional[int], *unit: str) -> None:
-    """Refuse an order-n scan of over ``budget`` (DEFAULT_BUDGET when None)
-    matrices at its deepest level, or with a ``unit`` entries in a matrix.
-    Past the budget and str(int)'s digits, 2^k <= q^(2n+1) stands in for
-    the power (k = (2n+1) t // 4096 with 2^t <= q^4096; 2n+1 at q = 2)."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    elif budget < 1:
+def _resolve_budget(budget: Optional[int]) -> int:
+    """A scan's budget: DEFAULT_BUDGET when None, refused below 1."""
+    if budget is not None and budget < 1:
         raise ValueError("budget must be positive")
+    return DEFAULT_BUDGET if budget is None else budget
+
+
+def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
+    """Refuse an order-n scan of over ``budget`` (as resolved by
+    :func:`_resolve_budget`) matrices at its deepest level.  Past the
+    budget and str(int)'s digits, 2^k <= q^(2n+1) stands in for the power
+    (k = (2n+1) t // 4096 with 2^t <= q^4096; 2n+1 at q = 2)."""
+    budget = _resolve_budget(budget)
     k = (2 * n + 1) * ((q ** 4096).bit_length() - 1) // 4096
     cap = 4 * getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 2^cap = 16^limit
-    required = ((n + 1) ** 2 if unit else
-                1 << k if 0 < cap <= k and k >= budget.bit_length() else q ** (2 * n + 1))
+    required = 1 << k if 0 < cap <= k and k >= budget.bit_length() else q ** (2 * n + 1)
     if required > budget:
-        raise BudgetExceededError(required, budget, *unit)
+        raise BudgetExceededError(required, budget)
 
 
 def _check_params(n: int, q: int, jobs: int = 1) -> PrimeField:
@@ -474,11 +477,13 @@ def _check_sizes(q: int, sizes: Sequence[int]) -> None:
 def _lane_gains(q: int, n: int, s: int, index: int) -> Tuple[List[int], List[int]]:
     """Eliminate at once the q^(2(n-s)) order-n extensions of the order-s
     spec at ``index``, bit k of every int (lane k) the k-th in lex order;
-    an entry is one int at q = 2, the pair (is 1, is 2) at q = 3.  As in
-    ``_gf2_pivots``/``_lane_pivots``, a lane whose residual is first
-    nonzero at column c reduces by its pivot row there or makes it (a GF(3)
-    2 swaps the planes).  Returns per order m the lanes with one and with
-    two pivots at max(row, column) = m."""
+    an entry is one int at q = 2, the pair (is 1, is 2) at q = 3.  Rows
+    go in top down, and a lane whose residual is first nonzero at column c
+    reduces by its pivot row there or makes it (a GF(3) 2 swaps the
+    planes): the mirror image of the engines' pivot loops, which take rows
+    bottom up and pivot on the highest lane (``prefix_nullities``), and a
+    stride of lanes is checked against them.  Returns per order m the
+    lanes with one and with two pivots at max(row, column) = m."""
     full, zero = (1 << q ** (2 * (n - s))) - 1, 0 if q == 2 else (0, 0)
     planes = [[full * (d == v) for v in range(1, q)]
               for d in (index // q ** k % q for k in range(2 * s, -1, -1))]
@@ -722,12 +727,15 @@ def sample_census(n: int, q: int, trials: int, seed: int, *,
     with a virtual 0 before order 0), and ``children`` of the same rows
     gives the census: two eliminations per trial.  The children of every
     RANK_CHECK_STRIDE-th trial, from trial 0 on, are re-ranked from scratch.
-    Orders of over ``budget`` (n+1)^2 matrix entries are refused up front.
+    Orders of over ``budget`` (as resolved by :func:`_resolve_budget`)
+    entries in a matrix, (n+1)^2, are refused up front.
     """
     _check_params(n, q)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
-    _require_budget(n, q, budget, "entries in each sampled matrix")
+    budget = _resolve_budget(budget)
+    if (n + 1) ** 2 > budget:
+        raise BudgetExceededError((n + 1) ** 2, budget, "entries in each sampled matrix")
     rng = XorShift64(seed)
     eng = engine(q)
     tally = _Tally(q)
@@ -843,7 +851,9 @@ def _verify_scan(args: tuple) -> _Tally:
             check(ENDS, 0 not in ends(kern[0], m + 1),
                   "fresh kernel generator vanishes at an end", m - 1)
         elif nu == prev_nu + 1 and prev_nu >= 1:
-            check(ASCENT, kern == eng.span(prev + sigma(prev)),
+            # kern is independent: equal ranks pin span(shifted) = span(kern)
+            shifted = prev + sigma(prev)
+            check(ASCENT, eng.rank(shifted) == eng.rank(kern + shifted) == len(kern),
                   "kernel is not the span of the shifted old kernel", m - 1)
         elif prev_nu > nu >= 1:
             check(DESCENT, all(ends(v, m + 1) == (0, 0) for v in kern),

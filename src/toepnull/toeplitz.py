@@ -12,7 +12,9 @@ matrix gives all of them.
 
 Two elimination engines implement the same exact arithmetic on rows
 packed into one integer each, entry j in the lane at bit ``bits * j``,
-building an echelon form row by row in a dict keyed by pivot column:
+each with one pivot loop that builds an echelon form row by row in a
+list indexed by pivot lane, the pivot of a row being its highest
+nonzero lane:
 
 * 8-bit lanes modulo any prime q, where one ``bytes.translate`` maps
   every entry of a row at once, and
@@ -22,11 +24,13 @@ Each keeps only its arithmetic, their base ``_Engine`` the rest, once
 for both: :func:`engine` lists them, picks one per modulus, and every
 caller goes through it.  Every method but ``rows`` takes a spec's rows,
 built once, and entry tuples appear only at ``vectors`` and the public
-functions.  Kernels and spans are canonical:
-the unique reduced echelon basis, rows ordered by pivot with leading
-entry 1, so equal subspaces compare equal.  A kernel is read straight
-off one elimination whose pivots are the rows' highest nonzero lanes,
-canonical as it comes: no second elimination normalizes it.
+functions.  Kernels are canonical: the unique reduced echelon basis,
+rows ordered by pivot with leading entry 1, so equal subspaces compare
+equal.  A kernel is read straight off the pivot loop's echelon,
+canonical as it comes: no second elimination normalizes it.  The one
+lowest-lane elimination left, ``gfq_rref`` behind the public
+``canonical_vectors``, shares no loop with the engines: it is the
+independent path the public kernel predicates replay on.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .field import DEFAULT_MAX_Q, PrimeField, element_value
 
@@ -53,55 +57,30 @@ def gf2_pack_rows(a: Sequence[int], b: Sequence[int]) -> List[int]:
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) by xor elimination, pivot = lowest set bit."""
-    return len(_gf2_pivots(rows))
+    """Rank over GF(2) by xor elimination, pivot = highest set bit."""
+    rows = list(rows)
+    width = max(rows, default=0).bit_length()
+    return width - _gf2_pivots(rows, width)[0].count(0)
 
 
-def _gf2_pivots(rows: Iterable[int], piv: Optional[dict] = None) -> dict:
-    """Echelon form of packed rows, keyed by each row's lowest set bit,
-    which no other row shares; given ``piv``, the rows extend it."""
-    piv = {} if piv is None else piv
-    for r in rows:
-        while r:
-            low = r & -r
-            p = piv.get(low)
-            if p is None:
-                piv[low] = r
-                break
-            r ^= p
-    return piv
-
-
-def _gf2_top_pivots(rows: Sequence[int]) -> List[int]:
-    """Echelon form of the packed rows of a square matrix: entry c is the
-    row whose highest set bit is bit c, or 0 if there is none."""
-    piv = [0] * len(rows)
+def _gf2_pivots(rows: Iterable[int], width: int) -> Tuple[List[int], List[int]]:
+    """The GF(2) pivot loop: echelon form of packed rows of ``width``
+    bits, entry c the pivot row whose highest set bit is bit c, or 0 if
+    there is none; and for each row in the order fed, the bit at which
+    it made its pivot, or -1 if it reduced to 0."""
+    piv, made = [0] * width, []
     for r in rows:
         while r:
             c = r.bit_length() - 1
             p = piv[c]
             if not p:
                 piv[c] = r
+                made.append(c)
                 break
             r ^= p
-    return piv
-
-
-def gf2_rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
-    """Reduced echelon form of packed rows.
-
-    Returns (rows, pivots): nonzero reduced rows ordered by pivot column
-    and the matching pivot column indices.
-    """
-    # bottom up, as in gfq_rref: clear from each row the pivot bits of the
-    # reduced rows below it, each of which holds no other pivot bit
-    done: List[Tuple[int, int]] = []
-    for low, row in sorted(_gf2_pivots(rows).items(), reverse=True):
-        for other_low, other in done:
-            if row & other_low:
-                row ^= other
-        done.append((low, row))
-    return [row for _, row in done[::-1]], [low.bit_length() - 1 for low, _ in done[::-1]]
+        else:
+            made.append(-1)
+    return piv, made
 
 
 # ---------------------------------------------------------------------------
@@ -130,36 +109,20 @@ def gfq_rows(a: Sequence[int], b: Sequence[int]) -> List[bytes]:
 
 
 def gfq_rank(rows: Iterable[Union[int, Sequence[int]]], q: int) -> int:
-    """Rank modulo q by lane elimination, pivot = lowest nonzero lane.
+    """Rank modulo q by lane elimination, pivot = highest nonzero lane.
     A row is a lane int or a sequence of digits in [0, q)."""
-    return len(_lane_pivots([r if isinstance(r, int) else int.from_bytes(r, "little")
-                             for r in rows], q))
+    lanes = [r if isinstance(r, int) else int.from_bytes(r, "little") for r in rows]
+    w = max(lanes, default=0).bit_length() + 7 >> 3
+    return w - _lane_pivots(lanes, q, w)[0].count(0)
 
 
-def _lane_pivots(rows: Iterable[int], q: int, piv: Optional[dict] = None, w: int = 0) -> dict:
-    """Echelon form of lane rows modulo q, keyed by each row's lowest
-    nonzero lane, which no other row shares; the row has entry 1 there.
-    Given ``piv``, the rows extend it, and ``w`` bytes must hold every
-    row of both (the default fits the widest of ``rows``, a sequence)."""
-    sub, w = _lane_tables(q), w or max(rows, default=0).bit_length() + 7 >> 3
-    piv = {} if piv is None else piv
-    for r in rows:
-        while r:
-            shift = (r & -r).bit_length() - 1 & ~7
-            f, c = r >> shift & 255, shift >> 3
-            if c not in piv:
-                piv[c] = int.from_bytes(r.to_bytes(w, "little").translate(sub[q + f]), "little")
-                break
-            r = int.from_bytes((r * q + piv[c]).to_bytes(w, "little").translate(sub[f]), "little")
-    return piv
-
-
-def _lane_top_pivots(rows: Sequence[int], q: int) -> List[int]:
-    """Echelon form of the lane rows of a square matrix modulo q: entry c
-    is the row whose highest nonzero lane is lane c, with entry 1 there,
-    or 0 if there is none."""
-    sub, w = _lane_tables(q), len(rows)
-    piv = [0] * w
+def _lane_pivots(rows: Iterable[int], q: int, w: int) -> Tuple[List[int], List[int]]:
+    """The byte-lane pivot loop: echelon form of lane rows of ``w`` lanes
+    modulo q, entry c the pivot row whose highest nonzero lane is lane c,
+    with entry 1 there, or 0 if there is none; and for each row in the
+    order fed, the lane at which it made its pivot, or -1 if it reduced
+    to 0."""
+    sub, piv, made = _lane_tables(q), [0] * w, []
     for r in rows:
         while r:
             c = r.bit_length() - 1 >> 3
@@ -167,14 +130,17 @@ def _lane_top_pivots(rows: Sequence[int], q: int) -> List[int]:
             p = piv[c]
             if not p:
                 piv[c] = int.from_bytes(r.to_bytes(w, "little").translate(sub[q + f]), "little")
+                made.append(c)
                 break
             r = int.from_bytes((r * q + p).to_bytes(w, "little").translate(sub[f]), "little")
-    return piv
+        else:
+            made.append(-1)
+    return piv, made
 
 
 def _lane_residual(v: int, echelon: Iterable[Tuple[int, int]], q: int, w: int) -> int:
-    """``v`` reduced by (pivot lane, row) pairs in increasing pivot order,
-    each row with entry 1 at its pivot lane and 0 below it: 0 in every
+    """``v`` reduced by (pivot lane, row) pairs in decreasing pivot order,
+    each row with entry 1 at its pivot lane and 0 above it: 0 in every
     pivot lane, and 0 exactly when ``v`` lies in their span."""
     sub = _lane_tables(q)
     for c, row in echelon:
@@ -185,12 +151,28 @@ def _lane_residual(v: int, echelon: Iterable[Tuple[int, int]], q: int, w: int) -
 
 def gfq_rref(rows: List[int], q: int) -> Tuple[List[int], List[int]]:
     """Reduced echelon form of lane rows modulo q: the nonzero reduced
-    rows ordered by pivot lane, and the matching pivot lanes."""
-    echelon = sorted(_lane_pivots(rows, q).items())
-    w = max(rows, default=0).bit_length() + 7 >> 3
-    for i in range(len(echelon) - 2, -1, -1):  # bottom up, by the reduced rows below
-        c, row = echelon[i]
-        echelon[i] = c, _lane_residual(row, echelon[i + 1:], q, w)
+    rows ordered by pivot lane, and the matching pivot lanes.  Its own
+    Gauss-Jordan loop, pivot = lowest nonzero lane, shares nothing with
+    the engines' pivot loops, which it checks."""
+    sub, w = _lane_tables(q), max(rows, default=0).bit_length() + 7 >> 3
+    piv = {}  # pivot lane -> row with 1 there and 0 in every other pivot lane
+
+    def minus(v: int, f: int, row: int) -> int:  # v - f row
+        return int.from_bytes((v * q + row).to_bytes(w, "little").translate(sub[f]), "little")
+
+    for r in rows:
+        for c, row in piv.items():
+            if f := r >> 8 * c & 255:
+                r = minus(r, f, row)
+        if r:
+            c = (r & -r).bit_length() - 1 >> 3
+            r = int.from_bytes(r.to_bytes(w, "little").translate(sub[q + (r >> 8 * c & 255)]),
+                               "little")
+            for k, row in piv.items():  # only rows with k < c are nonzero at c
+                if f := row >> 8 * c & 255:
+                    piv[k] = minus(row, f, r)
+            piv[c] = r
+    echelon = sorted(piv.items())
     return [row for _, row in echelon], [c for c, _ in echelon]
 
 
@@ -223,21 +205,22 @@ def canonical_vectors(vectors: Iterable[Sequence[int]], q: int) -> Tuple[Vector,
 
 class _Engine:
     """What both engines share: the methods that only read or move the
-    lanes of packed vectors, built on the engine's own ``rref``, ``dot``
-    and pivot loops."""
+    lanes of packed vectors, and those built on the engine's own pivot
+    loop ``_pivots`` and ``dot``."""
 
     q: int
     bits: int
 
     def kernel(self, rows: List[int]) -> Tuple[int, ...]:
-        """Canonical kernel basis of a square matrix, read off one
-        elimination whose pivots are each row's highest nonzero lane.
+        """Canonical kernel basis of a square matrix, read off the pivot
+        loop's echelon, whose pivots are each row's highest nonzero lane.
         Free lane f gives the kernel vector with 1 at f and 0 at the
         other free lanes, its entry at each pivot lane c > f solved from
         row c, which is 1 at c and 0 above it; the lanes below f stay 0.
         So f is its lowest nonzero lane and, in order of f, these are the
         reduced echelon basis."""
-        piv, width, bits, q, dot = self._top_pivots(rows), len(rows), self.bits, self.q, self.dot
+        width, bits, q, dot = len(rows), self.bits, self.q, self.dot
+        piv = self._pivots(rows, width)[0]
         echelon, basis = [(c, row) for c, row in enumerate(piv) if row], []
         for f in range(width):
             if not piv[f]:
@@ -247,9 +230,6 @@ class _Engine:
                         v |= q - d << bits * c
                 basis.append(v)
         return tuple(basis)
-
-    def span(self, vectors: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(self.rref(list(vectors))[0])
 
     def vectors(self, kernel: Tuple[int, ...], width: int) -> Tuple[Vector, ...]:
         mask = (1 << self.bits) - 1
@@ -264,29 +244,12 @@ class _Engine:
         return v & mask, v >> self.bits * (width - 1) & mask
 
     def prefix_nullities(self, rows: List[int]) -> Vector:
-        made = [0] * len(rows)  # made[m]: pivots in T_m but in no smaller leading block
-        for i, c in self._rank_profile(rows, len(rows)):
-            made[max(i, c)] += 1
+        n = len(rows) - 1
+        made = [0] * (n + 1)  # made[m]: pivots in T_m but in no smaller trailing block
+        for i, c in zip(range(n, -1, -1), self._pivots(reversed(rows), n + 1)[1]):
+            if c >= 0:
+                made[n - min(i, c)] += 1
         return tuple(m + 1 - rank for m, rank in enumerate(accumulate(made)))
-
-    def _rank_profile(self, rows: Sequence[int], width: int) -> List[Tuple[int, int]]:
-        """(row, lane) of each pivot made by eliminating ``rows`` of
-        ``width`` lanes in order in one call of the engine's own pivot
-        loop: rows 0..i cut to lanes 0..k have as rank the count of pivots
-        with row <= i and lane <= k, as each pivot row is its row minus
-        earlier ones and is 0 below its pivot lane, the lane of its lowest
-        set bit.  The loop asks for row i + 1 only once done with row i."""
-        piv, made = {}, []  # the pivots, and the row that made each
-
-        def fed():
-            for i, r in enumerate(rows):
-                yield r
-                if len(piv) > len(made):
-                    made.append(i)
-
-        self._pivots(fed(), piv, width)
-        return [(i, ((row & -row).bit_length() - 1) // self.bits)
-                for i, row in zip(made, piv.values())]
 
 
 class _PackedGF2(_Engine):
@@ -297,17 +260,14 @@ class _PackedGF2(_Engine):
     def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         return gf2_pack_rows(a, b)
 
-    def rank(self, rows: List[int]) -> int:
+    def rank(self, rows: Sequence[int]) -> int:
         return gf2_rank(rows)
-
-    def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
-        return gf2_rref(rows)
 
     def dot(self, u: int, v: int, width: int) -> int:
         return (u & v).bit_count() & 1
 
-    def _top_pivots(self, rows: List[int]) -> List[int]:
-        return _gf2_top_pivots(rows)
+    def _pivots(self, rows: Iterable[int], width: int) -> Tuple[List[int], List[int]]:
+        return _gf2_pivots(rows, width)
 
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m = len(rows) - 1
@@ -319,27 +279,26 @@ class _PackedGF2(_Engine):
         kids = [[head0, *tail, last0], [head0, *tail, last1],
                 [head1, *tail, last0], [head1, *tail, last1]]
         # eliminate the shared tail once; reducing a row by its pivots in
-        # increasing order clears every pivot bit, which leaves a residual
+        # decreasing order clears every pivot bit, which leaves a residual
         # that is 0 exactly when the row lies in the tail's span
-        piv = _gf2_pivots(tail)
+        piv = _gf2_pivots(tail, m + 2)[0]
         h0, h1, l0, l1 = head0, head1, last0, last1
-        for low, p in sorted(piv.items()):
-            if h0 & low:
-                h0 ^= p
-            if h1 & low:
-                h1 ^= p
-            if l0 & low:
-                l0 ^= p
-            if l1 & low:
-                l1 ^= p
+        for c in range(m + 1, -1, -1):
+            if p := piv[c]:
+                top = 1 << c
+                if h0 & top:
+                    h0 ^= p
+                if h1 & top:
+                    h1 ^= p
+                if l0 & top:
+                    l0 ^= p
+                if l1 & top:
+                    l1 ^= p
         # rank of a child = rank of the tail + rank of its two residuals,
         # one less than their count of nonzeros when they are equal
-        free = m + 2 - len(piv)
+        free = piv.count(0)
         return kids, [free - (h > 0) - (l > 0) + (h == l > 0)
                       for h in (h0, h1) for l in (l0, l1)]
-
-    def _pivots(self, rows: Iterable[int], piv: dict, width: int) -> None:
-        _gf2_pivots(rows, piv)
 
 
 @dataclass(frozen=True)
@@ -352,18 +311,15 @@ class _LaneGFq(_Engine):
     def rows(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         return [int.from_bytes(row, "little") for row in gfq_rows(a, b)]
 
-    def rank(self, rows: List[int]) -> int:
+    def rank(self, rows: Sequence[int]) -> int:
         return gfq_rank(rows, self.q)
-
-    def rref(self, rows: List[int]) -> Tuple[List[int], List[int]]:
-        return gfq_rref(rows, self.q)
 
     def dot(self, u: int, v: int, width: int) -> int:
         return sum((u * self.q + v).to_bytes(width, "little").translate(
             _lane_tables(self.q)[self.q])) % self.q
 
-    def _top_pivots(self, rows: List[int]) -> List[int]:
-        return _lane_top_pivots(rows, self.q)
+    def _pivots(self, rows: Iterable[int], width: int) -> Tuple[List[int], List[int]]:
+        return _lane_pivots(rows, self.q, width)
 
     def children(self, rows: List[int]) -> Tuple[List[List[int]], List[int]]:
         m, q, w = len(rows) - 1, self.q, len(rows) + 1
@@ -373,14 +329,13 @@ class _LaneGFq(_Engine):
         kids = [[head, *tail, last] for head in heads for last in lasts]
         # eliminate the shared tail once (as in _PackedGF2.children); a
         # residual is linear in the new digit, so two per end give all q
-        piv = sorted(_lane_pivots(tail, q).items())
-        h0, h1, l0, l1 = (_lane_residual(v, piv, q, w) for v in (*heads[:2], *lasts[:2]))
+        piv = _lane_pivots(tail, q, w)[0]
+        echelon = [(c, row) for c, row in enumerate(piv) if row][::-1]
+        h0, h1, l0, l1 = (_lane_residual(v, echelon, q, w) for v in (*heads[:2], *lasts[:2]))
         hs, ls = _directions(h0, h1, q, w), _directions(l0, l1, q, w)
         # rank of a child = rank of the tail + rank of its two residuals
-        return kids, [m + 2 - len(piv) - (h > 0) - (l > 0) + (h == l > 0) for h in hs for l in ls]
-
-    def _pivots(self, rows: Iterable[int], piv: dict, width: int) -> None:
-        _lane_pivots(rows, self.q, piv, width)
+        free = piv.count(0)
+        return kids, [free - (h > 0) - (l > 0) + (h == l > 0) for h in hs for l in ls]
 
 
 @lru_cache(maxsize=None)
@@ -389,42 +344,41 @@ def engine(q: int) -> _Engine:
     1-bit lanes at q = 2, 8-bit lanes otherwise.  This is the one place
     the representation is chosen.
 
-    The base ``_Engine`` builds on ``rref`` what only reads or moves
-    lanes: ``span``, ``vectors`` (entry tuples), ``sigma`` (a zero
-    prepended to every kernel vector; an appended one changes no packed
-    int) and ``ends`` (the first and last entry); on ``_pivots`` (the
-    engine's pivot loop, extending an echelon by rows)
-    ``prefix_nullities``; and on ``_top_pivots`` (one elimination keyed
-    by each row's highest nonzero lane) and ``dot`` the canonical
-    ``kernel`` of a square matrix, read straight off that elimination
-    with no ``rref``.  Each engine keeps its arithmetic: ``rows``,
-    ``rank`` (from scratch; it only reads its rows), ``rref``, ``dot``
-    (of two rows: the parity of their common bits, or the lanewise
-    product table), ``_pivots``, ``_top_pivots`` and the scans' hot loop
-    ``children``, which inlines its xor or translate: shared
-    per-operation hooks would add a call to every row operation there,
-    and they saved no lines.
+    Each engine keeps its arithmetic: ``rows``, ``rank`` (from scratch;
+    it only reads its rows), ``dot`` (of two rows: the parity of their
+    common bits, or the lanewise product table), ``_pivots`` (its one
+    pivot loop, ``_gf2_pivots`` or ``_lane_pivots``, pivot = highest
+    nonzero lane) and the scans' hot loop ``children``, which inlines its
+    xor or translate: shared per-operation hooks would add a call to
+    every row operation there, and they saved no lines.  The base
+    ``_Engine`` builds the rest on them: ``vectors`` (entry tuples),
+    ``sigma`` (a zero prepended to every kernel vector; an appended one
+    changes no packed int), ``ends`` (the first and last entry), and on
+    ``_pivots`` the canonical ``kernel`` of a square matrix (with
+    ``dot``) and ``prefix_nullities``.  Each of ``rank``, ``children``,
+    ``kernel`` and ``prefix_nullities`` runs the pivot loop once.
 
     ``children`` gives the rows of the q^2 one-step extensions in
     (a_new, b_new) order, read off the parent's rows, and the nullity of
     each.  The children share all rows but the first and the last, so
     ``children`` eliminates those m rows once and reduces the q first-row
-    and q last-row variants against them: a child's rank is the shared
-    rank plus the rank of its two residuals.  That is exact elimination
-    of the child's own rows, with O(m) work per child; ``enumeration``
-    re-checks a stride of children with ``rank``.
+    and q last-row variants against them in decreasing pivot order: a
+    child's rank is the shared rank plus the rank of its two residuals.
+    That is exact elimination of the child's own rows, with O(m) work per
+    child; ``enumeration`` re-checks a stride of children with ``rank``.
 
     ``prefix_nullities(rows)`` gives the nullity of T_0, ..., T_n from
     the rows of T_n, for ``nullity_string`` and for each ``sample_census``
-    trial, which hands the same rows to ``children``.  It feeds the rows
-    once, in order, to one ``_pivots`` call and notes the row i of each
-    pivot made and its lane c, the pivot row's lowest nonzero one: the
-    rank profile (Dumas, Pernet & Sultan, "Computing the rank profile
-    matrix", ISSAC 2015).  Rows 0..m cut to lanes 0..m are T_m, the
-    leading block of T_{m+1}, so its rank is the count of pivots with
-    max(i, c) <= m: about one ``rank``'s work per string, O(n^3); ``rank``
-    of each truncated prefix is the from-scratch path the tests check it
-    against.
+    trial, which hands the same rows to ``children``.  It feeds rows n,
+    ..., 0 once to the pivot loop and notes the lane c at which each row
+    i made a pivot: the rank profile (Dumas, Pernet & Sultan, "Computing
+    the rank profile matrix", ISSAC 2015), taken from the bottom-right
+    corner.  By constant diagonals rows i..n cut to lanes i..n are
+    T_{n-i}, and each pivot row is a combination of its own row and the
+    rows fed before it, 0 above its lane, so the rank of T_m is the count
+    of pivots with min(i, c) >= n - m: about one ``rank``'s work per
+    string, O(n^3); ``rank`` of each truncated prefix is the from-scratch
+    path the tests check it against.
     """
     return _PackedGF2() if q == 2 else _LaneGFq(q)
 

@@ -638,6 +638,33 @@ def test_predicate_refusal_is_a_failed_cross_check():
                                            "nullity")
 
 
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_a_wrong_ascent_kernel_fails_the_span_check(monkeypatch, q, n):
+    # at the first walked ascent nu d -> d+1 (d >= 1) of order n off the
+    # kernel stride, swap the kernel for e_0..e_d: canonical, of the right
+    # dimension, and spanning another subspace
+    eng = engine(q)
+    index, string = next((index, string) for m, index, _, string, _, _ in walk(
+        q, n, group=enumeration._group(q, n)) if m == n and string[-2] >= 1
+        and string[-1] == string[-2] + 1 and index % enumeration.RANK_CHECK_STRIDE)
+    target = eng.rows(*enumeration._index_to_ab(index, n, q))
+    wrong = tuple(1 << eng.bits * j for j in range(string[-1]))
+    real = type(eng).kernel
+    assert real(eng, target) != wrong
+
+    def kernel(self, rows):
+        return wrong if rows == target else real(self, rows)
+
+    monkeypatch.setattr(type(eng), "kernel", kernel)
+    rules, structure = verify_exhaustive(n, q)
+    assert rules.passed
+    check = structure.checks[enumeration.ASCENT]
+    assert check.failures >= 1 and check.counterexample.sort_key == (n, index)
+    assert check.counterexample.detail == "kernel is not the span of the shifted old kernel"
+    others = [c for name, c in structure.checks.items() if name != enumeration.ASCENT]
+    assert not any(c.failures for c in others)
+
+
 def test_rule_stats_keeps_smallest_counterexample():
     tally = _Tally(2)
     tally.census(0, 0, [0] * 9, 1, 7)

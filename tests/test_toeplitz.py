@@ -23,7 +23,6 @@ from toepnull.toeplitz import (
     engine,
     gf2_pack_rows,
     gf2_rank,
-    gf2_rref,
     gfq_rank,
     gfq_rref,
     gfq_rows,
@@ -55,6 +54,11 @@ def all_specs(n, q):
 
 def rows_of(spec):
     return [list(row) for row in gfq_rows(spec.a, spec.b)]
+
+
+def pack(eng, rows):
+    """Digit rows as the engine's packed ints, entry j in lane j."""
+    return [sum(x << eng.bits * j for j, x in enumerate(row)) for row in rows]
 
 
 def test_materialize_all_ones():
@@ -238,9 +242,6 @@ def test_engines_agree_on_random_specs(n, data):
     engines = engine(2), toeplitz._LaneGFq(2)
     assert {eng.vectors(eng.rows(a, b), width) for eng in engines} == {
         tuple(map(tuple, list_rows(a, b)))}
-    reduced, pivots = gf2_rref(packed_rows)
-    assert ([list(v) for v in engines[0].vectors(reduced, width)], pivots) == list_rref(
-        list_rows(a, b), 2)
     # both engines emit the canonical basis; so does the list oracle, and
     # it is its own canonical form
     kernels = [eng.kernel(eng.rows(a, b)) for eng in engines]
@@ -252,8 +253,10 @@ def test_engines_agree_on_random_specs(n, data):
     for eng, kern in zip(engines, kernels):
         assert eng.vectors(eng.sigma(kern), width + 1) == tuple((0, *v) for v in kernel)
         assert [eng.ends(v, width) for v in kern] == [(v[0], v[-1]) for v in kernel]
-        assert eng.span(kern) == kern
-        assert eng.vectors(eng.span(kern + eng.sigma(kern)), width + 1) == shifted
+        # kern is independent, and with its shifts spans what ``shifted`` does
+        assert eng.rank(kern) == len(kern)
+        both = kern + eng.sigma(kern)
+        assert eng.rank(both) == eng.rank([*both, *pack(eng, shifted)]) == len(shifted)
 
 
 @pytest.mark.parametrize("q, max_width", [(2, 8), (3, 5)])
@@ -264,13 +267,6 @@ def test_vectors_roundtrip(q, max_width):
             for vec in itertools.product(range(q), repeat=width):
                 packed = sum(x << eng.bits * j for j, x in enumerate(vec))
                 assert eng.vectors((packed,), width) == (vec,)
-
-
-def test_rref_is_idempotent_and_rank_consistent():
-    rows = gf2_pack_rows((1, 0, 1), (1, 1))
-    reduced, pivots = gf2_rref(rows)
-    assert gf2_rref(reduced)[0] == reduced
-    assert len(pivots) == gf2_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +536,9 @@ def oracle_specs(rng, q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
-def test_rank_profile_gives_the_rank_of_every_leading_block(q):
-    # rectangular, not Toeplitz: rows 0..i cut to columns 0..k have as
-    # rank the recorded pivots with row <= i and lane <= k
+def test_rank_profile_gives_the_rank_of_every_trailing_block(q):
+    # rectangular, not Toeplitz, fed bottom up: rows i..end cut to lanes
+    # k..end have as rank the recorded pivots with row >= i and lane >= k
     rng = random.Random(7000 + q)
     top = q - 1
     engines = [engine(q)] + ([toeplitz._LaneGFq(2)] if q == 2 else [])
@@ -555,12 +551,13 @@ def test_rank_profile_gives_the_rank_of_every_leading_block(q):
         rows[rng.randrange(height)] = [0] * width
         rows[rng.randrange(height)] = [top] * width
         for eng in engines:
-            packed = [sum(x << eng.bits * j for j, x in enumerate(row)) for row in rows]
-            profile = eng._rank_profile(packed, width)
+            made = eng._pivots(reversed(pack(eng, rows)), width)[1]
+            assert len(made) == height
+            profile = [(i, c) for i, c in zip(range(height - 1, -1, -1), made) if c >= 0]
             for i in range(height):
                 for k in range(width):
-                    made = sum(r <= i and c <= k for r, c in profile)
-                    assert made == list_rank([row[:k + 1] for row in rows[:i + 1]], q)
+                    count = sum(r >= i and c >= k for r, c in profile)
+                    assert count == list_rank([row[k:] for row in rows[i:]], q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
@@ -611,7 +608,7 @@ def test_edge_kernels_match_the_list_oracle(q):
         expected = list_kernel(rows, q, width)
         assert len(expected) == width - list_rank(rows, q)
         for eng in {engine(q), toeplitz._LaneGFq(q)}:
-            packed = [sum(x << eng.bits * j for j, x in enumerate(row)) for row in rows]
+            packed = pack(eng, rows)
             assert eng.vectors(eng.kernel(packed), width) == expected
 
 
@@ -625,12 +622,46 @@ def test_kernels_need_no_second_elimination(monkeypatch, q):
     eng = engine(q)
 
     def refuse(*args):
-        raise AssertionError("rref in kernel")
+        raise AssertionError("second elimination in kernel")
 
-    for name in ("gf2_rref", "gfq_rref"):
+    for name in ("gfq_rref", "canonical_vectors"):
         monkeypatch.setattr(toeplitz, name, refuse)
-    monkeypatch.setattr(type(eng), "rref", refuse)
     kernels = [eng.vectors(eng.kernel(eng.rows(a, b)), len(a)) for a, b in specs]
     monkeypatch.undo()
     assert sum(map(bool, kernels)) >= 10
     assert kernels == [list_kernel(list_rows(a, b), q, len(a)) for a, b in specs]
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_each_engine_method_runs_the_one_pivot_loop_once(monkeypatch, q):
+    # rank, children, prefix_nullities and kernel all eliminate by the
+    # module's one pivot loop for the field, once per call, and never by
+    # the independent gfq_rref behind canonical_vectors
+    rng = random.Random(9500 + q)
+    eng, loop = engine(q), "_gf2_pivots" if q == 2 else "_lane_pivots"
+    calls = []
+
+    def counted(name):
+        real = getattr(toeplitz, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("second elimination in an engine method")
+
+    for name in ("_gf2_pivots", "_lane_pivots"):
+        monkeypatch.setattr(toeplitz, name, counted(name))
+    for name in ("gfq_rref", "canonical_vectors"):
+        monkeypatch.setattr(toeplitz, name, refuse)
+    for _ in range(20):
+        m = rng.randrange(16)
+        a, b = (zero_prefix_digits if m >= 2 and rng.random() < 0.5 else random_digits)(
+            rng, q, m)
+        rows = eng.rows(a, b)
+        for method in (eng.rank, eng.children, eng.prefix_nullities, eng.kernel):
+            calls.clear()
+            method(rows)
+            assert calls == [loop], method.__name__
