@@ -67,7 +67,6 @@ from .enumeration import (
     XorShift64,
     brute_force_strings,
     brute_force_table,
-    enumerate_all,
     extension_census,
     sample_census,
     spec_index,
@@ -95,6 +94,6 @@ __all__ = [
     # enumeration
     "DEFAULT_BUDGET", "BudgetExceededError", "Check", "Counterexample",
     "RankCrossCheckError", "Report", "XorShift64", "brute_force_strings",
-    "brute_force_table", "enumerate_all", "extension_census", "sample_census",
-    "spec_index", "verify_exhaustive",
+    "brute_force_table", "extension_census", "sample_census", "spec_index",
+    "verify_exhaustive",
 ]

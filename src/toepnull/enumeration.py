@@ -16,11 +16,14 @@ nullity strings, and count it for its orbit.  At q in {2, 3}
 :func:`brute_force_table` counts on lanes below the walk's order-s
 specs: one bit-sliced elimination of all their extensions, a bit per
 spec.  As independent checks, at lex indices that are multiples of
-RANK_CHECK_STRIDE the walk re-ranks all children and each orbit member
+CHECK_STRIDE the walk re-ranks all children and each orbit member
 from scratch, a lane's whole string is recomputed from scratch and
 :func:`verify_exhaustive` multiplies each kernel vector by the spec's
-rows (the same specs at any worker count); each order's orbit sizes must
-add up to q^(2m+1).  A disagreement raises :class:`RankCrossCheckError`.
+rows and replays the public predicates (the same specs at any worker
+count); the census re-ranks the children of a spec with an impossible
+child step, and each order's orbit sizes must add up to q^(2m+1).  Any
+disagreement raises :class:`RankCrossCheckError`, whose message names
+the check and the spec.
 
 A budget guard keeps exhaustive work explicit: a scan whose deepest
 level would exceed the cap (q^(2n+1) matrices, default 2^28, override
@@ -50,8 +53,7 @@ from .toeplitz import gf2_rank  # noqa: F401  the perfbench tracer test looks it
 
 DEFAULT_BUDGET = 1 << 28
 MAX_JOBS = 64
-RANK_CHECK_STRIDE = 64
-PREDICATE_CHECK_STRIDE = 64
+CHECK_STRIDE = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -78,56 +80,39 @@ def _decimal(count: int) -> str:
 
 
 class RankCrossCheckError(RuntimeError):
-    """A child nullity from the engine's shared elimination disagreed
-    with a from-scratch elimination of the child's rows."""
+    """An independent check disagreed with the fast path it checks.
+    ``args`` is ``(order, index, message)``: the spec the message names,
+    by order and lex index (0 for a whole order), and what disagreed."""
 
-    def __init__(self, order: int, index: int, *detail) -> None:
-        super().__init__(order, index, *detail)  # picklable
+    def __init__(self, order: int, index: int, message: str) -> None:
+        super().__init__(order, index, message)  # picklable
         self.order, self.index = order, index
 
     def __str__(self) -> str:
-        order, index, a_new, b_new, shared, scratch = self.args
-        return (f"rank cross-check failed: child (a_new, b_new) = ({a_new}, {b_new}) "
-                f"of the order-{order} spec at index {index} has nullity {shared} by "
-                f"shared elimination but {scratch} from scratch")
+        return self.args[2]
 
 
-class OrbitCrossCheckError(RankCrossCheckError):
-    """The reduced walk's orbits disagreed with their expansion or sizes."""
-
-    def __str__(self) -> str:
-        return f"orbit cross-check failed: {self.args[2]}"
-
-
-class LaneCrossCheckError(RankCrossCheckError):
-    """A lane's nullity string disagreed with a from-scratch elimination."""
-
-    def __str__(self) -> str:
-        order, index, lane, scratch = self.args
-        return (f"lane cross-check failed: the order-{order} spec at index {index} has "
-                f"nullity string {lane} in its lane but {scratch} from scratch")
-
-
-class KernelCrossCheckError(RankCrossCheckError):
-    """A kernel vector that a row of its own spec does not annihilate."""
-
-    def __str__(self) -> str:
-        order, index, vector, row = self.args
-        return (f"kernel cross-check failed: kernel vector {vector} of the order-{order} "
-                f"spec at index {index} is not annihilated by its row {row}")
+def _rank_error(q: int, m: int, index: int, shared: int, scratch: int) -> RankCrossCheckError:
+    """The order-m child at ``index`` has nullity ``shared`` by the
+    engine's shared elimination but ``scratch`` from scratch."""
+    parent, (a_new, b_new) = index // (q * q), divmod(index % (q * q), q)
+    return RankCrossCheckError(m - 1, parent, (
+        f"rank cross-check failed: child (a_new, b_new) = ({a_new}, {b_new}) of the "
+        f"order-{m - 1} spec at index {parent} has nullity {shared} by shared elimination "
+        f"but {scratch} from scratch"))
 
 
 def _recheck(q: int, m: int, index: int, rows: list, nu: int) -> None:
     """Raise unless the order-m child at ``index`` has nullity ``nu``."""
     scratch = m + 1 - engine(q).rank(rows)
     if scratch != nu:
-        raise RankCrossCheckError(m - 1, index // (q * q), *divmod(index % (q * q), q),
-                                  nu, scratch)
+        raise _rank_error(q, m, index, nu, scratch)
 
 
 def _check_ranks(q: int, kids: list, nus: Sequence[int], m: int, index: int) -> None:
     """Re-rank every child of the order-m spec at ``index`` from scratch
-    (``gf2_rank``/``gfq_rank``) against the nullities ``children`` gave."""
+    (``gf2_rank``/``gfq_rank``) against the nullities ``children`` gave;
+    the first to disagree in (a_new, b_new) order raises."""
     for k, (kid, nu) in enumerate(zip(kids, nus)):
         _recheck(q, m + 1, index * q * q + k, kid, nu)
 
@@ -139,7 +124,9 @@ def _check_kernel(q: int, m: int, index: int, rows: list, kern: Tuple[int, ...])
     for v in kern:
         for i, row in enumerate(rows):
             if eng.dot(row, v, m + 1):
-                raise KernelCrossCheckError(m, index, eng.vectors((v,), m + 1)[0], i)
+                raise RankCrossCheckError(m, index, (
+                    f"kernel cross-check failed: kernel vector {eng.vectors((v,), m + 1)[0]} "
+                    f"of the order-{m} spec at index {index} is not annihilated by its row {i}"))
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
@@ -162,13 +149,12 @@ def _require_budget(n: int, q: int, budget: Optional[int]) -> None:
         raise BudgetExceededError(required, budget)
 
 
-def _check_params(n: int, q: int, jobs: int = 1) -> PrimeField:
+def _check_params(n: int, q: int, jobs: int = 1) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    fld = PrimeField(q)
+    PrimeField(q)
     if not isinstance(jobs, int) or isinstance(jobs, bool) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
-    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +176,6 @@ def spec_index(spec: ToeplitzSpec) -> int:
     for a_new, b_new in zip(spec.a[1:], spec.b):
         idx = (idx * q + a_new) * q + b_new
     return idx
-
-
-def enumerate_all(n: int, q: int, *, budget: Optional[int] = None) -> Iterator[ToeplitzSpec]:
-    """Every spec of order exactly n, in lexicographic digit order."""
-    fld = _check_params(n, q)
-    _require_budget(n, q, budget)
-    for digits in itertools.product(range(q), repeat=2 * n + 1):
-        a, b = _digits_to_ab(digits)
-        yield ToeplitzSpec(field=fld, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +219,10 @@ def _check_orbit(q: int, group: List[tuple], m: int, index: int, nu: int,
     eng = engine(q)
     nus = {m + 1 - eng.rank(eng.rows(*_digits_to_ab(image))) for image in orbit}
     if len(orbit) != weight or min(orbit) != digits or nus != {nu}:
-        raise OrbitCrossCheckError(m, index, (
-            f"the order-{m} spec at index {index} has orbit size {weight} and nullity {nu} in "
-            f"the walk, but its orbit has {len(orbit)} members, least {min(orbit)}, of "
-            f"nullities {sorted(nus)}"))
+        raise RankCrossCheckError(m, index, (
+            f"orbit cross-check failed: the order-{m} spec at index {index} has orbit size "
+            f"{weight} and nullity {nu} in the walk, but its orbit has {len(orbit)} members, "
+            f"least {min(orbit)}, of nullities {sorted(nus)}"))
 
 
 def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
@@ -264,9 +241,10 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
     first, so a spec is least in its orbit exactly when its parent is
     and its last pair p has p <= g(p) for each g in the parent's
     stabiliser; the g with g(p) = p make the child's.  A spec with
-    children whose index is a multiple of RANK_CHECK_STRIDE has them
-    re-ranked and its orbit checked (:func:`_check_orbit`) first, if the
-    walk owns its order (``_run``): the same checks at any worker count."""
+    children whose index is a multiple of CHECK_STRIDE has them
+    re-ranked (:func:`_check_ranks`) and its orbit checked
+    (:func:`_check_orbit`) first, if the walk owns its order (``_run``):
+    the same checks at any worker count."""
     eng = engine(q)
     children, q2, own = eng.children, q * q, split if lo else 0
     group = group or [(range(q), [range(q2)] * (q - 1))]  # the identity alone
@@ -288,7 +266,7 @@ def walk(q: int, n_max: int, split: int = -1, lo: int = 0, hi: int = 0,
             yield m, index, rows, string, (), weight
             continue
         kids, nus = children(rows)
-        if not index % RANK_CHECK_STRIDE and m >= own:
+        if not index % CHECK_STRIDE and m >= own:
             _check_ranks(q, kids, nus, m, index)
             if len(group) > 1:
                 _check_orbit(q, group, m, index, string[-1], weight)
@@ -381,17 +359,6 @@ def extension_census(spec: ToeplitzSpec) -> Dict[int, int]:
 # the brute-force string census
 
 
-def _check_step(q: int, m: int, index: int, rows: list, nu: int, nus: Sequence[int]) -> None:
-    """Bordering by a row and a column moves a rank by 0 to 2, so a child
-    nullity that is negative or more than one step from its parent's
-    ``nu`` is a fault: re-rank that child from scratch, then the parent.
-    A child both agree with is left out, and its order's size check fails."""
-    k = next(k for k, v in enumerate(nus) if v < 0 or abs(v - nu) > 1)
-    child = index * q * q + k
-    _recheck(q, m + 1, child, engine(q).rows(*_index_to_ab(child, m + 1, q)), nus[k])
-    _recheck(q, m, index, rows, nu)
-
-
 def _census_scan(args: tuple) -> Dict[Tuple[int, ...], List[int]]:
     """How many specs extend each nullity string by a step of -1, 0 and +1:
     a walked spec tallies its q^2 child nullities once per member of its
@@ -407,7 +374,12 @@ def _census_scan(args: tuple) -> Dict[Tuple[int, ...], List[int]]:
             nu = string[-1]
             down, flat, up = nus.count(nu - 1), nus.count(nu), nus.count(nu + 1)
             if down + flat + up != q2 or (down and not nu):  # no nullity is -1
-                _check_step(q, m, index, rows, nu, nus)
+                # bordering moves a rank by 0 to 2: re-rank every child from its
+                # digits, then the parent (if both agree, the size check fails)
+                kids = [engine(q).rows(*_index_to_ab(index * q2 + k, m + 1, q))
+                        for k in range(q2)]
+                _check_ranks(q, kids, nus, m, index)
+                _recheck(q, m, index, rows, nu)
             row = tally.get(string) or tally.setdefault(string, [0, 0, 0])
             row[0] += down * weight
             row[1] += flat * weight
@@ -456,9 +428,9 @@ def brute_force_table(n_max: int, q: int, *, budget: Optional[int] = None,
             for nu in range(m + 2):
                 row[nu], rest = divmod(tally[m, nu], q ** (2 * (n_max - m)))
                 if rest:
-                    raise OrbitCrossCheckError(m, 0, f"{tally[m, nu]} weighted lanes have "
-                                               f"nullity {nu} at order {m}, not a multiple of "
-                                               f"{q}^{2 * (n_max - m)}")
+                    raise RankCrossCheckError(m, 0, (
+                        f"orbit cross-check failed: {tally[m, nu]} weighted lanes have "
+                        f"nullity {nu} at order {m}, not a multiple of {q}^{2 * (n_max - m)}"))
     return CountTable(q=q, counts=tuple(map(tuple, counts)))
 
 
@@ -466,8 +438,8 @@ def _check_sizes(q: int, sizes: Sequence[int]) -> None:
     """Raise unless the orbit sizes of each order m add up to q^(2m+1)."""
     for m, size in enumerate(sizes):
         if size != q ** (2 * m + 1):
-            raise OrbitCrossCheckError(m, 0, f"the orbit sizes of order {m} add up to "
-                                       f"{size}, not {q}^{2 * m + 1}")
+            raise RankCrossCheckError(m, 0, f"orbit cross-check failed: the orbit sizes of "
+                                      f"order {m} add up to {size}, not {q}^{2 * m + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +495,7 @@ def _lane_scan(n: int, args: tuple) -> Counter:
     """Weighted lane counts by (order, nullity) and orbit sizes by order up
     to s, the depth of ``walk(*args)``, each of whose order-s specs is a chunk
     counted for each member of its orbit.  A chunk or a lane whose lex index
-    is a multiple of RANK_CHECK_STRIDE (the walk checks those above) gets
+    is a multiple of CHECK_STRIDE (the walk checks those above) gets
     :func:`_check_orbit` or has its string checked by ``prefix_nullities``."""
     q, s, split, lo, hi = args
     own, eng, tally, group = split if lo else 0, engine(q), Counter(), _group(q, s)
@@ -534,15 +506,17 @@ def _lane_scan(n: int, args: tuple) -> Counter:
             tally[m] += weight
         if m < s:
             continue
-        if not index % RANK_CHECK_STRIDE:
+        if not index % CHECK_STRIDE:
             _check_orbit(q, group, m, index, string[-1], weight)
         one, two = _lane_gains(q, n, s, index)
-        for k in range(-index * width % RANK_CHECK_STRIDE, width, RANK_CHECK_STRIDE):
+        for k in range(-index * width % CHECK_STRIDE, width, CHECK_STRIDE):
             lane = tuple(itertools.accumulate(1 - (one[m] >> k & 1) - 2 * (two[m] >> k & 1)
                                               for m in range(n + 1)))
             scratch = eng.prefix_nullities(eng.rows(*_index_to_ab(index * width + k, n, q)))
             if lane != scratch:
-                raise LaneCrossCheckError(n, index * width + k, lane, scratch)
+                raise RankCrossCheckError(n, index * width + k, (
+                    f"lane cross-check failed: the order-{n} spec at index {index * width + k} "
+                    f"has nullity string {lane} in its lane but {scratch} from scratch"))
         at = [full]  # at[nu]: the lanes of nullity nu
         for m in range(n + 1):
             pad = [0, *at, 0, 0]
@@ -726,7 +700,7 @@ def sample_census(n: int, q: int, trials: int, seed: int, *,
     nullity string (``prefix_nullities``, one elimination of the rows,
     with a virtual 0 before order 0), and ``children`` of the same rows
     gives the census: two eliminations per trial.  The children of every
-    RANK_CHECK_STRIDE-th trial, from trial 0 on, are re-ranked from scratch.
+    CHECK_STRIDE-th trial, from trial 0 on, are re-ranked from scratch.
     Orders of over ``budget`` (as resolved by :func:`_resolve_budget`)
     entries in a matrix, (n+1)^2, are refused up front.
     """
@@ -745,7 +719,7 @@ def sample_census(n: int, q: int, trials: int, seed: int, *,
         prev_nu, nu = (0, *eng.prefix_nullities(rows))[-2:]
         index = reduce(lambda i, digit: i * q + digit, digits)  # lex, by Horner
         kids, nus = eng.children(rows)
-        if not trial % RANK_CHECK_STRIDE:
+        if not trial % CHECK_STRIDE:
             _check_ranks(q, kids, nus, n, index)
         tally.census(prev_nu, nu, nus, n, index)
     return _rule_report(tally)
@@ -795,7 +769,7 @@ def _verify_scan(args: tuple) -> _Tally:
     is (start order, all omega so far, all sigma so far), or None
     outside runs.  A kernel whose dimension is not the nullity the walk
     gave raises :class:`RankCrossCheckError`; at lex indices that are
-    multiples of RANK_CHECK_STRIDE each kernel vector must be annihilated
+    multiples of CHECK_STRIDE each kernel vector must be annihilated
     by the spec's rows (:func:`_check_kernel`).  With the dimension that
     pins the canonical kernel.
     """
@@ -816,7 +790,7 @@ def _verify_scan(args: tuple) -> _Tally:
         """Record a predicate on the spec at hand for its whole orbit, and
         replay each member whose index is a multiple of the stride."""
         tally.record(name, ok, m, index, detail, weight)
-        for member in sorted({i for i in members[m] if not i % PREDICATE_CHECK_STRIDE}):
+        for member in sorted({i for i in members[m] if not i % CHECK_STRIDE}):
             _cross_check(tally, name, ok, m, member, run_start)
 
     for m, index, rows, string, child_nus, weight in walk(q, n_max, split, lo, hi, group):
@@ -828,13 +802,13 @@ def _verify_scan(args: tuple) -> _Tally:
             if child_nus:
                 tally.census(string[-2] if m else 0, nu, child_nus, m, index, weight)
         kern = kernels[m] = kernel(rows) if nu else ()
-        if kern and not index % RANK_CHECK_STRIDE and m >= own:
+        if kern and not index % CHECK_STRIDE and m >= own:
             _check_kernel(q, m, index, rows, kern)
         runs[m] = None
         if m == 0:
             continue
         if len(kern) != nu and m >= own:
-            raise RankCrossCheckError(m - 1, index // q2, *divmod(code, q), nu, len(kern))
+            raise _rank_error(q, m, index, nu, len(kern))
         prev_nu, prev = string[-2], kernels[m - 1]
         if nu == prev_nu and nu >= 1:
             # an appended zero lane changes no packed int: prev is its own omega shift
@@ -874,7 +848,7 @@ def verify_exhaustive(n_max: int, q: int, *, budget: Optional[int] = None,
     The structure report checks the four kernel-structure predicates on
     every qualifying step, on the engine's own representations; each
     orbit member of such a step whose lex index is a multiple of
-    PREDICATE_CHECK_STRIDE, walked or not, is replayed through the public
+    CHECK_STRIDE, walked or not, is replayed through the public
     predicates, which must agree.  Each order's orbit sizes must add up
     to q^(2m+1).
     """

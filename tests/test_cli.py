@@ -333,7 +333,7 @@ def inject_verify_faults(monkeypatch, *, rules):
     if rules:
         skew_census(monkeypatch, RuleClass.ASCENDING, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
-    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
+    monkeypatch.setattr(enumeration, "CHECK_STRIDE", 5)
 
 
 ASCENDING_DETAIL = "census {0: 4, 1: 4, 2: 1} != expected {0: 4, 1: 4, 2: 2}"

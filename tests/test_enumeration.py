@@ -21,7 +21,6 @@ from toepnull import (
     brute_force_table,
     count_string,
     count_table,
-    enumerate_all,
     extend,
     extension_census,
     iter_valid_strings,
@@ -47,9 +46,17 @@ F2 = PrimeField(2)
 # enumeration order and indexing
 
 
+def all_specs(n, q):
+    """Every spec of order n, in lex order of its digits (a_0, a_1, b_1, ..., a_n, b_n)."""
+    fld = PrimeField(q)
+    return [ToeplitzSpec(field=fld, a=(d[0], *d[1::2]), b=d[2::2])
+            for d in itertools.product(range(q), repeat=2 * n + 1)]
+
+
 @pytest.mark.parametrize("n, q", [(0, 2), (2, 2), (1, 3), (1, 5)])
 def test_enumerate_all_is_complete_and_ordered(n, q):
-    specs = list(enumerate_all(n, q))
+    # spec_index maps the lex enumeration of all order-n specs onto range(q^(2n+1))
+    specs = all_specs(n, q)
     assert len(specs) == q ** (2 * n + 1)
     assert len(set(specs)) == len(specs)
     assert all(s.order == n for s in specs)
@@ -57,16 +64,19 @@ def test_enumerate_all_is_complete_and_ordered(n, q):
 
 
 def test_spec_index_tracks_digit_order():
-    first, second = itertools.islice(enumerate_all(2, 3), 2)
-    assert first.a == (0, 0, 0) and first.b == (0, 0)
-    assert second.a == (0, 0, 0) and second.b == (0, 1)
+    # the digits (a_0, a_1, b_1, a_2, b_2) in base 3, b_2 the last
+    fld = PrimeField(3)
+    for a, b, index in [((0, 0, 0), (0, 0), 0), ((0, 0, 0), (0, 1), 1),
+                        ((0, 0, 1), (0, 0), 3), ((0, 1, 0), (2, 0), 45),
+                        ((1, 0, 0), (0, 0), 81), ((2, 2, 2), (2, 2), 242)]:
+        assert spec_index(ToeplitzSpec(field=fld, a=a, b=b)) == index
 
 
 def test_enumerate_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        list(enumerate_all(-1, 2))
+        brute_force_strings(-1, 2)
     with pytest.raises(ValueError):
-        list(enumerate_all(2, 6))
+        brute_force_strings(2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +86,7 @@ def test_enumerate_rejects_bad_parameters():
 @pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (1, 5)])
 def test_walk_matches_per_spec_measurements(n, q):
     eng = engine(q)
-    specs = {m: list(enumerate_all(m, q)) for m in range(n + 1)}
+    specs = {m: all_specs(m, q) for m in range(n + 1)}
     seen = {m: [] for m in range(n + 1)}
     for m, index, rows, string, child_nus, weight in walk(q, n):
         assert weight == 1
@@ -173,7 +183,7 @@ def test_lanes_count_and_check_the_same_specs_at_any_jobs(monkeypatch, q, n):
     assert tables == tables[:1] * 3 and checked == checked[:1] * 3
     # every 64th lex index among the specs under the lex-least chunk prefixes
     assert checked[0] == sorted(set(checked[0])) and len(checked[0]) >= 50
-    assert all(index % enumeration.RANK_CHECK_STRIDE == 0 for index in checked[0])
+    assert all(index % enumeration.CHECK_STRIDE == 0 for index in checked[0])
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -183,7 +193,6 @@ def test_a_faulty_lane_on_the_stride_fails_its_cross_check(monkeypatch, q):
     fault_lane(monkeypatch, 0)
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_table(4, q)
-    assert isinstance(exc.value, enumeration.LaneCrossCheckError)
     assert exc.value.args[:2] == (4, 0)
     assert str(exc.value) == ("lane cross-check failed: the order-4 spec at index 0 has "
                               "nullity string (1, 2, 3, 4, 4) in its lane but "
@@ -204,8 +213,11 @@ def test_a_faulty_lane_off_the_stride_shows_in_the_counts(monkeypatch, q):
     assert sum(table.counts[4]) == q ** 9
     monkeypatch.undo()
     fault_lane(monkeypatch, 1, 3)
-    with pytest.raises(enumeration.OrbitCrossCheckError, match="not a multiple of"):
+    with pytest.raises(RankCrossCheckError) as exc:
         brute_force_table(4, q)
+    assert exc.value.args[:2] == (3, 0)
+    assert str(exc.value) == (f"orbit cross-check failed: {13 if q == 2 else 73} weighted "
+                              f"lanes have nullity 3 at order 3, not a multiple of {q}^2")
 
 
 def test_reduced_census_matches_the_full_walk(monkeypatch):
@@ -267,7 +279,7 @@ def test_reduced_walk_visits_the_least_spec_of_each_orbit(q, n):
     expected = {}
     for m in range(n + 1):
         index_of = {tuple(map(tuple, gfq_rows(s.a, s.b))): i
-                    for i, s in enumerate(enumerate_all(m, q))}
+                    for i, s in enumerate(all_specs(m, q))}
         for mat, i in index_of.items():
             orbit = set()
             for t, c, lam in itertools.product((0, 1), range(1, q), range(1, q)):
@@ -283,7 +295,7 @@ def test_a_stride_spec_gets_both_cross_checks(monkeypatch):
     # every walked spec with children whose index is a multiple of the
     # stride has its children re-ranked and its orbit expanded, at any jobs
     stride = [(m, index) for m, index, *_ in walk(3, 4, group=enumeration._group(3, 4))
-              if m < 4 and not index % enumeration.RANK_CHECK_STRIDE]
+              if m < 4 and not index % enumeration.CHECK_STRIDE]
     ranked, orbits = [], []
     monkeypatch.setattr(enumeration, "_check_ranks",
                         lambda q, kids, nus, m, index: ranked.append((m, index)))
@@ -339,19 +351,17 @@ def test_census_totals_and_step_bound(q):
 
 def test_resolve_budget_precedence():
     # without a budget the default cap decides; a passed budget replaces it
-    assert next(enumerate_all(13, 2)).order == 13  # 2^27 matrices
+    enumeration._require_budget(13, 2, None)  # 2^27 matrices
     with pytest.raises(BudgetExceededError) as exc:
-        next(enumerate_all(14, 2))
+        enumeration._require_budget(14, 2, None)
     assert (exc.value.required, exc.value.budget) == (2 ** 29, DEFAULT_BUDGET)
-    assert next(enumerate_all(14, 2, budget=2 ** 29)).order == 14
+    enumeration._require_budget(14, 2, 2 ** 29)
     with pytest.raises(BudgetExceededError):
-        next(enumerate_all(1, 2, budget=7))
+        brute_force_strings(1, 2, budget=7)
 
 
 def test_resolve_budget_rejects_garbage():
     for bad in (0, -5):
-        with pytest.raises(ValueError, match="budget must be positive"):
-            next(enumerate_all(1, 2, budget=bad))
         for scan in (brute_force_table, brute_force_strings, verify_exhaustive):
             with pytest.raises(ValueError, match="budget must be positive"):
                 scan(1, 2, budget=bad)
@@ -370,7 +380,7 @@ def test_budget_guard_reports_requirement():
 
 def test_budget_argument_guards_scans():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_all(4, 2, budget=100))
+        brute_force_table(4, 2, budget=100)
     with pytest.raises(BudgetExceededError):
         verify_exhaustive(4, 2, budget=100)
     with pytest.raises(BudgetExceededError):
@@ -393,7 +403,7 @@ def test_brute_force_matches_direct_enumeration():
     table = brute_force_table(2, 3)
     for n in range(3):
         tally = [0] * (n + 2)
-        for spec in enumerate_all(n, 3):
+        for spec in all_specs(n, 3):
             tally[rank_nullity(spec)[1]] += 1
         assert table.row(n) == tuple(tally)
 
@@ -477,7 +487,7 @@ def test_reduced_verify_fails_like_the_full_walk(monkeypatch):
     # counts and the first counterexamples match the full walk's
     skew_census(monkeypatch, RuleClass.PLATEAU, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
-    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
+    monkeypatch.setattr(enumeration, "CHECK_STRIDE", 5)
     monkeypatch.setattr(enumeration, "Pool", _InlinePool)
     reduced = [verify_exhaustive(3, 3, jobs=jobs) for jobs in (1, 2)]
     monkeypatch.setattr(enumeration, "_group", identity_group)
@@ -542,7 +552,7 @@ def test_exhaustive_verify_starts_one_pool(monkeypatch, capsys):
 def test_first_counterexample_is_independent_of_jobs(monkeypatch):
     skew_census(monkeypatch, RuleClass.ASCENDING, 1)
     monkeypatch.setattr(kernel_structure, "check_plateau_shift", lambda run: len(run) > 3)
-    monkeypatch.setattr(enumeration, "PREDICATE_CHECK_STRIDE", 5)
+    monkeypatch.setattr(enumeration, "CHECK_STRIDE", 5)
     rules, structure = zip(*(verify_exhaustive(3, 3, jobs=jobs) for jobs in (1, 2)))
     assert not rules[0].passed and rules[0].counterexample is not None
     assert not structure[0].passed
@@ -590,7 +600,7 @@ def test_one_walk_checks_each_qualifying_spec_once(q, n, jobs):
     steps = dict.fromkeys(("single_generator_ends", "ascent_span", "plateau_shift",
                            "descent_interior_zeros"), 0)
     for m in range(n + 1):
-        for spec in enumerate_all(m, q):
+        for spec in all_specs(m, q):
             string = scratch_nullity_string(spec)
             prev = string[-2] if m else 0
             if m < n:
@@ -646,7 +656,7 @@ def test_a_wrong_ascent_kernel_fails_the_span_check(monkeypatch, q, n):
     eng = engine(q)
     index, string = next((index, string) for m, index, _, string, _, _ in walk(
         q, n, group=enumeration._group(q, n)) if m == n and string[-2] >= 1
-        and string[-1] == string[-2] + 1 and index % enumeration.RANK_CHECK_STRIDE)
+        and string[-1] == string[-2] + 1 and index % enumeration.CHECK_STRIDE)
     target = eng.rows(*enumeration._index_to_ab(index, n, q))
     wrong = tuple(1 << eng.bits * j for j in range(string[-1]))
     real = type(eng).kernel
@@ -747,7 +757,7 @@ def test_sampled_trials_off_the_stride_rank_nothing_from_scratch(monkeypatch, q)
     assert sample_census(9, q, trials=5, seed=3).passed
     assert calls == {"rank": q * q, "children": 5, "prefix_nullities": 5, "rows": 5}
     calls.clear()
-    monkeypatch.setattr(enumeration, "RANK_CHECK_STRIDE", 2)  # trials 0, 2 and 4
+    monkeypatch.setattr(enumeration, "CHECK_STRIDE", 2)  # trials 0, 2 and 4
     assert sample_census(9, q, trials=5, seed=3).passed
     assert calls == {"rank": 3 * q * q, "children": 5, "prefix_nullities": 5, "rows": 5}
 
@@ -789,11 +799,25 @@ def misreport(monkeypatch, q, specs=None):
     monkeypatch.setattr(type(eng), "children", children)
 
 
+def rank_failure(order, index, a_new, b_new, shared, scratch):
+    """``failure`` of the rank cross-check that fails child (a_new, b_new) of
+    the order-``order`` spec at ``index``."""
+    return (order, index), (
+        f"rank cross-check failed: child (a_new, b_new) = ({a_new}, {b_new}) of the "
+        f"order-{order} spec at index {index} has nullity {shared} by shared elimination "
+        f"but {scratch} from scratch")
+
+
+def failure(exc):
+    """The (order, index) and the message of a raised cross-check."""
+    return exc.value.args[:2], str(exc.value)
+
+
 def test_censuses_cross_check_ranks(monkeypatch):
     misreport(monkeypatch, 3)
     with pytest.raises(RankCrossCheckError) as exc:
         extension_census(ToeplitzSpec(field=PrimeField(3), a=(1, 2), b=(0,)))
-    assert exc.value.args == (1, 15, 2, 2, 1, 0)
+    assert failure(exc) == rank_failure(1, 15, 2, 2, 1, 0)
     err = pickle.loads(pickle.dumps(exc.value))
     assert err.args == exc.value.args and str(err) == str(exc.value)
     with pytest.raises(RankCrossCheckError):
@@ -818,12 +842,12 @@ def test_walk_cross_checks_on_a_stride(monkeypatch):
     misreport(monkeypatch, 2, [(3, 63)])
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_strings(4, 2)
-    assert exc.value.args == (3, 63, 1, 1, 2, 1)
+    assert failure(exc) == rank_failure(3, 63, 1, 1, 2, 1)
     monkeypatch.undo()
     misreport(monkeypatch, 2, [(3, 64)])
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_strings(4, 2)
-    assert exc.value.args[:4] == (3, 64, 1, 1)
+    assert failure(exc) == rank_failure(3, 64, 1, 1, 2, 1)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -840,11 +864,29 @@ def test_rank_cross_check_failure_is_independent_of_jobs(monkeypatch):
     for jobs in (1, 5):
         with pytest.raises(RankCrossCheckError) as exc:
             verify_exhaustive(5, 2, jobs=jobs)
-        errors.append(exc.value.args)
-    assert errors[0] == errors[1] and errors[0][:4] == (4, 192, 1, 1)
+        errors.append(failure(exc))
+    assert errors[0] == errors[1] == rank_failure(4, 192, 1, 1, 3, 2)
     with pytest.raises(RankCrossCheckError) as exc:
         enumeration._verify_scan((2, 5, 4, 0, 1))  # any range at 0
-    assert exc.value.args[:4] == (3, 64, 1, 1)
+    assert failure(exc) == rank_failure(3, 64, 1, 1, 2, 1)
+
+
+def failing_scan(args):
+    """A scan that fails in every range but the one at 0."""
+    q, n_max, split, lo, hi = args
+    if lo:
+        raise RankCrossCheckError(split, lo, f"range [{lo}, {hi}) failed")
+    return [lo]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_a_cross_check_failure_crosses_a_pool_that_is_not_forked(monkeypatch, method):
+    # workers started afresh (forkserver is the Linux default from Python
+    # 3.14) send their failures back pickled; the first in preorder wins
+    monkeypatch.setattr(enumeration, "Pool", multiprocessing.get_context(method).Pool)
+    with pytest.raises(RankCrossCheckError) as exc:
+        enumeration._run(failing_scan, list.extend, 2, 5, 2)
+    assert failure(exc) == ((3, 15), "range [15, 24) failed")
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -862,10 +904,13 @@ def test_lane_table_failure_is_independent_of_jobs(monkeypatch):
     monkeypatch.setattr(enumeration, "_check_orbit", check_orbit)
     errors = []
     for jobs in (1, 2):
-        with pytest.raises(enumeration.OrbitCrossCheckError) as exc:
+        with pytest.raises(RankCrossCheckError) as exc:
             brute_force_table(7, 3, jobs=jobs)
-        errors.append((exc.value.args, str(exc.value)))
-    assert errors[0] == errors[1] and errors[0][0][:2] == (3, 0)
+        errors.append(failure(exc))
+    assert errors[0] == errors[1] == ((3, 0), (
+        "orbit cross-check failed: the order-3 spec at index 0 has orbit size 2 and "
+        "nullity 4 in the walk, but its orbit has 1 members, least (0, 0, 0, 0, 0, 0, 0), "
+        "of nullities [4]"))
 
 
 def fault_child(monkeypatch, m, index, k, value):
@@ -889,13 +934,25 @@ def test_an_impossible_pair_fails_the_census_scan(monkeypatch):
     fault_child(monkeypatch, 2, 1, 0, 0)
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_strings(3, 2)
-    assert exc.value.args == (2, 1, 0, 0, 0, 2)
+    assert failure(exc) == rank_failure(2, 1, 0, 0, 0, 2)
     # child (0, 0) of the order-1 spec at index 3 claims -1; its nullity is 1
     monkeypatch.undo()
     fault_child(monkeypatch, 1, 3, 0, -1)
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_strings(3, 2)
-    assert exc.value.args == (1, 3, 0, 0, -1, 1)
+    assert failure(exc) == rank_failure(1, 3, 0, 0, -1, 1)
+
+
+def test_an_impossible_step_re_ranks_every_child(monkeypatch):
+    # the order-2 spec at index 1 has string (1, 2, 2) and children
+    # [2, 2, 1, 1]; reported as [3, 0, 1, 1], child 0 is one too high (a
+    # possible step) and child 1 two below (impossible).  All children are
+    # re-ranked, so the first wrong one is named, not the impossible one
+    fault_child(monkeypatch, 2, 1, 0, 3)
+    fault_child(monkeypatch, 2, 1, 1, 0)
+    with pytest.raises(RankCrossCheckError) as exc:
+        brute_force_strings(3, 2)
+    assert failure(exc) == rank_failure(2, 1, 0, 0, 3, 2)
 
 
 def test_a_leaf_out_of_range_fails_the_census_scan(monkeypatch):
@@ -909,7 +966,7 @@ def test_a_leaf_out_of_range_fails_the_census_scan(monkeypatch):
         fault_child(monkeypatch, 2, 5, k, 5)
     with pytest.raises(RankCrossCheckError) as exc:
         brute_force_strings(3, 2)
-    assert exc.value.args == (2, 5, *divmod(zero[0], 2), 5, 0)
+    assert failure(exc) == rank_failure(2, 5, *divmod(zero[0], 2), 5, 0)
 
 
 # ---------------------------------------------------------------------------
